@@ -1,0 +1,70 @@
+"""Golden output bytes: the sha256 of the CSV each pinned run writes.
+
+A refactor or a faster kernel must leave every hash unchanged.  A change
+that moves one has changed the random stream or the arithmetic, and must
+come as a new, named option recorded in the manifest instead.
+
+Trials of 8192 + 500 give one full and one partial block per point; 500
+alone gives a single partial block.
+"""
+
+import hashlib
+
+import pytest
+
+from coopbeam.cli import main
+
+FULL_AND_PARTIAL = "8692"
+
+# run id -> (argv without --out, sha256 of the written CSV)
+GOLDEN = {
+    "alpha-frobenius": (
+        ["alpha-sweep", "--alpha", "0.2", "--alpha", "0.5", "--alpha", "0.8",
+         "--snr-db", "6", "--snr-db", "9", "--snr-db", "12",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        "0153e2c3de4ae21db7329d58f95b21f67c6f64c64f97ff61247ccb55e38b5809"),
+    "alpha-frobenius-m1-partial": (
+        ["alpha-sweep", "--m", "1", "--alpha", "0.05", "--alpha", "0.2",
+         "--alpha", "0.5", "--snr-db", "12", "--trials", "500",
+         "--seed", "3"],
+        "6b9311960f73ea9de3e1c3b9f3f979d367e0801b266d46a24c160d1e0307cca2"),
+    "alpha-vector": (
+        ["alpha-sweep", "--gain-mode", "vector", "--m", "4",
+         "--alpha", "0.2", "--alpha", "0.8", "--snr-db", "4", "--snr-db", "10",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        "61a086ac92734fcc772fbc832914d335bda5e9a946af0fa92e7c1f8cd34e99d9"),
+    "snr-mimo": (
+        ["snr-sweep", "--snr-db-range", "2:12:5",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        "f2ec58319349c73c3438dd0e30f1ded1741ba2cc0be56310703876e3ce758b55"),
+    "snr-vector-workers2": (
+        ["snr-sweep", "--gain-mode", "vector", "--snr-db", "3",
+         "--snr-db", "9", "--trials", FULL_AND_PARTIAL, "--seed", "11",
+         "--workers", "2"],
+        "76d347fd248cba81ed63421089703917f10a385d6250e936932d1d4eb1cf8ce9"),
+    "corr-frobenius": (
+        ["corr-sweep", "--snr-db", "4", "--snr-db", "8", "--corr", "0",
+         "--corr", "0.5", "--corr", "0.9",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        "ef000520de90cbb8851f6b9ea89eef3521c8b98828f196710714cf524046b3b9"),
+    "corr-frobenius-m4": (
+        ["corr-sweep", "--m", "4", "--alpha", "0.5", "--snr-db", "8",
+         "--corr", "0.3", "--trials", FULL_AND_PARTIAL, "--seed", "5"],
+        "beb00fb05d5177592af0dd7fc2b3e873609ee66d17212c165ccb5c5c1a02b3d8"),
+    "corr-vector": (
+        ["corr-sweep", "--gain-mode", "vector", "--snr-db", "0",
+         "--snr-db", "6", "--corr", "0.25", "--corr", "0.75",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        "1c8dd1d09c9723974637c5887f926decd65a4f9102a51892b0b0444dba132167"),
+}
+
+
+def csv_sha256(argv, out) -> str:
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN))
+def test_golden_csv_sha256(run, tmp_path, capsys):
+    argv, expected = GOLDEN[run]
+    assert csv_sha256(argv, tmp_path / f"{run}.csv") == expected
