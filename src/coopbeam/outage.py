@@ -75,33 +75,72 @@ class OutageEstimate:
     threshold: float
 
 
+def _sum_axis1(x: np.ndarray) -> np.ndarray:
+    """Sum x over axis 1 by adding its slices in turn.
+
+    For the short axes here (m, at most a few dozen) the slice adds run on
+    contiguous rows and beat a strided ``x.sum(axis=1)``.
+    """
+    total = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        total += x[:, j]
+    return total
+
+
+def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
+                gain_mode: str, C: Optional[np.ndarray] = None) -> np.ndarray:
+    """Channel gains of n trials drawn from rng.
+
+    Draw order: the channel's real and imaginary parts as one
+    ``standard_normal((2, n, m, k))`` (the same stream as two (n, m, k)
+    draws, real parts first), the amplitudes ``u = random((n, k))``, and
+    in vector mode only the phases ``theta = 2*pi*random((n, k))``.  The
+    phases are the last draw, so frobenius mode skips them without moving
+    any other number.
+
+    The model is H = (re + j*im) / sqrt(2), optionally mapped to C @ H,
+    and weights a = u / ||u|| with phases theta.  ``frobenius`` gives
+    sum_k a_k^2 ||H[:, k]||^2 and ``vector`` gives ||H (a * e^{j theta})||^2.
+    Both are evaluated in real arithmetic as a power over 2 * sum_k u_k^2,
+    which folds in the 1/sqrt(2) channel scale and the weight normalization.
+    """
+    z = rng.standard_normal((2, n, m, k))
+    u = rng.random((n, k))
+    u2 = u * u
+    if gain_mode == "vector":
+        theta = rng.random((n, k)) * (2.0 * np.pi)
+        uc = u * np.cos(theta)
+        us = u * np.sin(theta)
+        y = np.empty((2, n, m))
+        np.subtract(np.einsum("nmk,nk->nm", z[0], uc),
+                    np.einsum("nmk,nk->nm", z[1], us), out=y[0])
+        np.add(np.einsum("nmk,nk->nm", z[0], us),
+               np.einsum("nmk,nk->nm", z[1], uc), out=y[1])
+        if C is not None:
+            y = y @ C.T  # C (H v) == (C H) v
+        np.square(y, out=y)
+        power = _sum_axis1(y[0] + y[1])
+    else:
+        if C is not None:
+            z = np.matmul(C, z)
+        np.square(z, out=z)
+        z[0] += z[1]
+        power = np.einsum("nk,nk->n", u2, _sum_axis1(z[0]))
+    return power / (2.0 * np.einsum("nk->n", u2))
+
+
 def _count_block_factory(cfg: OutageConfig, tau: float):
     """Build the per-block outage counter for the block scheduler.
 
-    Per block, draws are consumed in a fixed order: channel real parts,
-    channel imaginary parts, weight amplitudes, weight phases — the batched
-    equivalent of draw_iid_rayleigh followed by draw_weights per trial.
+    Block b draws from ``default_rng(seed components + (b,))`` in the
+    order that block_gains documents, and counts gains strictly below tau.
     """
     base = seed_components(cfg.seed)
     C = None if cfg.correlation is None else cfg.correlation.entries
 
     def count_block(b: int, n: int) -> int:
         rng = np.random.default_rng(base + (b,))
-        re = rng.standard_normal((n, cfg.m, cfg.k))
-        im = rng.standard_normal((n, cfg.m, cfg.k))
-        H = (re + 1j * im) / np.sqrt(2.0)
-        if C is not None:
-            H = np.einsum("ij,njk->nik", C, H)
-        u = rng.random((n, cfg.k))
-        a = u / np.sqrt(np.sum(u * u, axis=1, keepdims=True))
-        theta = rng.random((n, cfg.k)) * (2.0 * np.pi)
-        if cfg.gain_mode == "vector":
-            v = a * np.exp(1j * theta)
-            y = np.einsum("nmk,nk->nm", H, v)
-            gain = np.sum(np.abs(y) ** 2, axis=1)
-        else:
-            col2 = np.sum(np.abs(H) ** 2, axis=1)
-            gain = np.sum(a * a * col2, axis=1)
+        gain = block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C)
         return int(np.count_nonzero(gain < tau))
 
     return count_block

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from coopbeam.channel import exponential_correlation
 from coopbeam.outage import (
     OutageConfig,
+    _count_block_factory,
     analytical_outage,
+    block_gains,
     monte_carlo_outage,
     outage_threshold,
     regularized_lower_gamma,
@@ -267,3 +269,80 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=2, k=1, trials=10,
                      correlation=exponential_correlation(3, 0.5))
+
+
+# ------------------------------------------------------- block gain kernel
+
+def _reference_gains(rng, n, m, k, gain_mode, C=None):
+    """The block kernel in complex arithmetic, kept as the reference."""
+    re = rng.standard_normal((n, m, k))
+    im = rng.standard_normal((n, m, k))
+    H = (re + 1j * im) / np.sqrt(2.0)
+    if C is not None:
+        H = np.einsum("ij,njk->nik", C, H)
+    u = rng.random((n, k))
+    a = u / np.sqrt(np.sum(u * u, axis=1, keepdims=True))
+    theta = rng.random((n, k)) * (2.0 * np.pi)
+    if gain_mode == "vector":
+        v = a * np.exp(1j * theta)
+        y = np.einsum("nmk,nk->nm", H, v)
+        return np.sum(np.abs(y) ** 2, axis=1)
+    col2 = np.sum(np.abs(H) ** 2, axis=1)
+    return np.sum(a * a * col2, axis=1)
+
+
+# float64 eps times the 2*M*K <= 96 terms of a gain, with headroom for the
+# different summation order; the largest deviation seen is about 1.2e-13
+GAIN_RTOL = 1e-12
+
+
+def test_stacked_normal_draw_is_the_two_draw_stream():
+    one = np.random.default_rng(5).standard_normal((2, 700, 3, 4))
+    two = np.random.default_rng(5)
+    re = two.standard_normal((700, 3, 4))
+    im = two.standard_normal((700, 3, 4))
+    assert np.array_equal(one[0], re) and np.array_equal(one[1], im)
+
+
+@pytest.mark.parametrize("n", [8192, 500], ids=["full", "partial"])
+@pytest.mark.parametrize("corr", [None, "exponential", "asymmetric"])
+@pytest.mark.parametrize("gain_mode", ["frobenius", "vector"])
+@pytest.mark.parametrize("k", [1, 3, 12])
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_block_gains_match_complex_reference(m, k, gain_mode, corr, n):
+    C = {None: None,
+         "exponential": exponential_correlation(m, 0.6).entries,
+         "asymmetric": np.eye(m) + np.triu(np.full((m, m), 0.4), 1)}[corr]
+    seed = [31, m, k, n]
+    got = block_gains(np.random.default_rng(seed), n, m, k, gain_mode, C)
+    want = _reference_gains(np.random.default_rng(seed), n, m, k,
+                            gain_mode, C)
+    np.testing.assert_allclose(got, want, rtol=GAIN_RTOL, atol=0)
+    for tau in np.quantile(want, [0.01, 0.1, 0.5, 0.9]):
+        assert np.count_nonzero(got < tau) == np.count_nonzero(want < tau)
+
+
+@pytest.mark.parametrize("gain_mode", ["frobenius", "vector"])
+def test_block_gains_phase_draw_only_in_vector_mode(gain_mode):
+    # the phases are a block's last draw: frobenius mode leaves them unread
+    rng = np.random.default_rng(8)
+    ref = np.random.default_rng(8)
+    block_gains(rng, 300, 3, 5, gain_mode)
+    ref.standard_normal((2, 300, 3, 5))
+    ref.random((300, 5))
+    if gain_mode == "vector":
+        ref.random((300, 5))
+    assert np.array_equal(rng.random(4), ref.random(4))
+
+
+@pytest.mark.parametrize("gain_mode", ["frobenius", "vector"])
+def test_count_block_is_gains_below_threshold(gain_mode):
+    cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
+                       trials=9000, seed=(4, 2), gain_mode=gain_mode,
+                       correlation=exponential_correlation(3, 0.5))
+    tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
+    count_block = _count_block_factory(cfg, tau)
+    for b, n in ((0, 8192), (1, 808)):
+        want = _reference_gains(np.random.default_rng([4, 2, b]), n, 3, 5,
+                                gain_mode, cfg.correlation.entries)
+        assert count_block(b, n) == np.count_nonzero(want < tau)
