@@ -15,11 +15,31 @@ import numpy as np
 BLOCK_SIZE = 8192
 
 
+def _is_int(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, (bool, np.bool_)))
+
+
 def seed_components(seed) -> tuple[int, ...]:
-    """Normalize a seed (int or sequence of ints) to a tuple of ints."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    """Normalize a seed (int or sequence of ints) to a tuple of ints.
+
+    Raises ValueError for a component that is not a nonnegative integer,
+    which numpy would only reject once sampling starts.
+    """
+    parts = tuple(seed) if np.iterable(seed) else (seed,)
+    for part in parts:
+        if not _is_int(part) or part < 0:
+            raise ValueError(
+                f"seed components must be nonnegative integers, got {part!r}")
+    return tuple(int(part) for part in parts)
+
+
+def check_trials(trials) -> None:
+    """Raise ValueError unless trials is an integer >= 1 (bool excluded)."""
+    if not _is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def block_sizes(trials: int, block: int = BLOCK_SIZE) -> list[int]:

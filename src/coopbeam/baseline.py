@@ -7,8 +7,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._blocks import parallel_count, seed_components
-from .outage import OutageConfig, OutageEstimate, monte_carlo_outage
+from ._blocks import check_trials, parallel_count, seed_components
+from .outage import (
+    OutageConfig,
+    OutageEstimate,
+    monte_carlo_outage,
+    require_finite,
+)
 
 _LN2 = math.log(2.0)
 
@@ -33,12 +38,14 @@ class MimoConfig:
     def __post_init__(self):
         if self.n_tx < 1 or self.n_rx < 1:
             raise ValueError("antenna counts must be >= 1")
+        require_finite(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2,
+                       r_tr=self.r_tr)
         if self.p_mimo <= 0 or self.sigma_n2 <= 0:
             raise ValueError("p_mimo and sigma_n2 must be positive")
         if self.r_tr < 0:
             raise ValueError("r_tr must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_trials(self.trials)
+        seed_components(self.seed)
 
 
 def mimo_capacity(H: np.ndarray, p_mimo: float, sigma_n2: float) -> float:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ._blocks import BLOCK_SIZE
+from ._blocks import BLOCK_SIZE, check_trials, seed_components
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 from .beamform import GAIN_MODES
@@ -36,6 +36,7 @@ from .outage import (
     OutageConfig,
     analytical_outage,
     monte_carlo_outage,
+    require_finite,
 )
 from .powerplan import (
     BroadcastSpec,
@@ -85,14 +86,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        require_finite(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
+                       r_tr=self.r_tr, p_total=self.p_total,
+                       sigma_nbr2=self.sigma_nbr2)
         if self.ratio_ptotal_ps <= 0 or self.p_total <= 0 or self.sigma_nbr2 <= 0:
             raise ValueError("powers and ratios must be positive")
         if self.r_br <= 0:
             raise ValueError("r_br must be positive")
         if self.r_tr < 0:
             raise ValueError("r_tr must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_trials(self.trials)
+        seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.bound_variant not in BOUND_VARIANTS:
@@ -114,6 +118,9 @@ class ExperimentConfig:
         for r in self.corr_r_grid:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"corr r {r} outside [0, 1)")
+        for snr_db in self.snr_db_grid:
+            if not math.isfinite(snr_db):
+                raise ValueError(f"snr_db {snr_db} is not finite")
 
     def _default_alphas(self):
         if self.experiment == "alpha_sweep":

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._blocks import parallel_count, seed_components
+from ._blocks import check_trials, parallel_count, seed_components
 from .beamform import GAIN_MODES
 from .channel import CorrelationMatrix
 
@@ -18,12 +18,20 @@ _GAMMA_EPS = 1e-16
 _GAMMA_ITMAX = 1000
 
 
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first keyword value that is NaN or inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     """Gain threshold below which the target rate is unachievable.
 
     tau = (2^r_tr - 1) * sigma_n2 / p2: outage occurs when the channel gain
     falls strictly below tau.
     """
+    require_finite(r_tr=r_tr, p2=p2, sigma_n2=sigma_n2)
     if p2 <= 0 or sigma_n2 <= 0:
         raise ValueError("p2 and sigma_n2 must be positive")
     if r_tr < 0:
@@ -53,14 +61,15 @@ class OutageConfig:
     correlation: Optional[CorrelationMatrix] = None
 
     def __post_init__(self):
+        require_finite(r_tr=self.r_tr, p2=self.p2, sigma_n2=self.sigma_n2)
         if self.r_tr < 0:
             raise ValueError("r_tr must be nonnegative")
         if self.p2 <= 0 or self.sigma_n2 <= 0:
             raise ValueError("p2 and sigma_n2 must be positive")
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_trials(self.trials)
+        seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.correlation is not None and self.correlation.m != self.m:

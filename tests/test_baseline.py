@@ -77,6 +77,25 @@ def test_mimo_config_validation():
         MimoConfig(trials=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["p_mimo", "sigma_n2", "r_tr"])
+def test_mimo_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MimoConfig(**{field: value})
+
+
+@pytest.mark.parametrize("trials", [1000.5, True])
+def test_mimo_config_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        MimoConfig(trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, (5, -1)])
+def test_mimo_config_rejects_negative_seed(seed):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        MimoConfig(seed=seed)
+
+
 def _proposed_template(trials=4000):
     # alpha = 0.3 share of a 60-unit budget: p2 = 42, K = 5 nodes
     return OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=1.0, m=3, k=5,

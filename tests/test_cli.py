@@ -66,6 +66,15 @@ def test_invalid_config_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--snr-db", "nan"], ["--seed", "-1"]])
+def test_bad_snr_or_seed_exits_at_config_time(flags, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    rc = main(["alpha-sweep", *flags, "--trials", "100", "--out", str(out)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_alpha_sweep_writes_default_name_in_outdir(tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.setenv("COOPBEAM_OUTDIR", str(tmp_path))

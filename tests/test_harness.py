@@ -50,6 +50,25 @@ def test_config_validation():
         ExperimentConfig(experiment="alpha_sweep", trials=0)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf])
+def test_config_rejects_non_finite_snr(snr_db):
+    with pytest.raises(ValueError, match="not finite"):
+        ExperimentConfig(experiment="alpha_sweep", snr_db_grid=[4.0, snr_db])
+
+
+@pytest.mark.parametrize("field", ["ratio_ptotal_ps", "r_br", "r_tr",
+                                   "p_total", "sigma_nbr2"])
+def test_config_rejects_non_finite_scalars(field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ExperimentConfig(experiment="alpha_sweep", **{field: math.nan})
+
+
+@pytest.mark.parametrize("kw", [{"trials": 1000.5}, {"seed": -1}])
+def test_config_rejects_bad_trials_and_seed(kw):
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="alpha_sweep", **kw)
+
+
 def test_config_snr_to_noise():
     cfg = _cfg(experiment="alpha_sweep")
     assert cfg.sigma_n2_at(0.0) == pytest.approx(cfg.p_total)

@@ -44,6 +44,15 @@ def test_threshold_rejects_bad_inputs():
         outage_threshold(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["r_tr", "p2", "sigma_n2"])
+def test_threshold_rejects_non_finite(field, value):
+    kw = dict(r_tr=3.0, p2=42.0, sigma_n2=10.0)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        outage_threshold(**kw)
+
+
 def test_shannon_boundary():
     assert shannon_achievable(3.0, 7.0) is True   # equality achieves the rate
     assert shannon_achievable(3.0, 6.999) is False
@@ -254,6 +263,34 @@ def test_mc_std_error_contract_over_replications():
     inside = sum(abs(r.probability - mean) <= 3.0 * r.std_error
                  for r in reps)
     assert inside >= 99
+
+
+_MC_KW = dict(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5, trials=100)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["r_tr", "p2", "sigma_n2"])
+def test_mc_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        OutageConfig(**{**_MC_KW, field: value})
+
+
+@pytest.mark.parametrize("trials", [1000.5, 1000.0, True, "1000"])
+def test_mc_config_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        OutageConfig(**{**_MC_KW, "trials": trials})
+
+
+@pytest.mark.parametrize("seed", [-1, (1, -2), (1, 2.5), True])
+def test_mc_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        OutageConfig(**{**_MC_KW, "seed": seed})
+
+
+def test_mc_config_accepts_numpy_integers():
+    cfg = OutageConfig(**{**_MC_KW, "trials": np.int64(100),
+                          "seed": (np.int64(3), 0)})
+    assert 0.0 <= monte_carlo_outage(cfg).probability <= 1.0
 
 
 def test_mc_config_validation():
