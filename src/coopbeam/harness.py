@@ -96,7 +96,7 @@ class ExperimentConfig:
         if self.r_tr < 0:
             raise ValueError("r_tr must be nonnegative")
         check_trials(self.trials)
-        seed_components(self.seed)
+        seed_components((self.seed,))  # the master seed is one integer
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.bound_variant not in BOUND_VARIANTS:

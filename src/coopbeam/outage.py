@@ -87,7 +87,7 @@ class OutageEstimate:
 def _sum_axis1(x: np.ndarray) -> np.ndarray:
     """Sum x over axis 1 by adding its slices in turn.
 
-    For the short axes here (m, at most a few dozen) the slice adds run on
+    For a short axis 1, such as the antenna axis, the slice adds run on
     contiguous rows and beat a strided ``x.sum(axis=1)``.
     """
     total = x[:, 0].copy()
@@ -120,15 +120,12 @@ def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
         theta = rng.random((n, k)) * (2.0 * np.pi)
         uc = u * np.cos(theta)
         us = u * np.sin(theta)
-        y = np.empty((2, n, m))
-        np.subtract(np.einsum("nmk,nk->nm", z[0], uc),
-                    np.einsum("nmk,nk->nm", z[1], us), out=y[0])
-        np.add(np.einsum("nmk,nk->nm", z[0], us),
-               np.einsum("nmk,nk->nm", z[1], uc), out=y[1])
-        if C is not None:
-            y = y @ C.T  # C (H v) == (C H) v
-        np.square(y, out=y)
-        power = _sum_axis1(y[0] + y[1])
+        zr, zi = z
+        yr = np.einsum("nmk,nk->nm", zr, uc) - np.einsum("nmk,nk->nm", zi, us)
+        yi = np.einsum("nmk,nk->nm", zr, us) + np.einsum("nmk,nk->nm", zi, uc)
+        if C is not None:  # C (H v) == (C H) v
+            yr, yi = yr @ C.T, yi @ C.T
+        power = _sum_axis1(yr * yr + yi * yi)
     else:
         if C is not None:
             z = np.matmul(C, z)

@@ -63,7 +63,8 @@ def test_config_rejects_non_finite_scalars(field):
         ExperimentConfig(experiment="alpha_sweep", **{field: math.nan})
 
 
-@pytest.mark.parametrize("kw", [{"trials": 1000.5}, {"seed": -1}])
+@pytest.mark.parametrize("kw", [{"trials": 1000.5}, {"seed": -1},
+                                {"seed": (1, 2)}])
 def test_config_rejects_bad_trials_and_seed(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="alpha_sweep", **kw)
