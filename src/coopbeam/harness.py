@@ -37,6 +37,7 @@ from .outage import (
     analytical_outage,
     monte_carlo_outage,
     require_finite,
+    required_snr,
 )
 from .powerplan import (
     BroadcastSpec,
@@ -93,8 +94,7 @@ class ExperimentConfig:
             raise ValueError("powers and ratios must be positive")
         if self.r_br <= 0:
             raise ValueError("r_br must be positive")
-        if self.r_tr < 0:
-            raise ValueError("r_tr must be nonnegative")
+        required_snr(self.r_tr)
         check_trials(self.trials)
         seed_components((self.seed,))  # the master seed is one integer
         if self.gain_mode not in GAIN_MODES:

@@ -25,6 +25,22 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def required_snr(r_tr: float) -> float:
+    """SNR 2^r_tr - 1 that rate r_tr needs.
+
+    Raises ValueError for an r_tr that is not finite, is negative, or is so
+    large that 2^r_tr overflows a float.
+    """
+    require_finite(r_tr=r_tr)
+    if r_tr < 0:
+        raise ValueError("r_tr must be nonnegative")
+    try:
+        return 2.0 ** float(r_tr) - 1.0
+    except OverflowError:
+        raise ValueError(
+            f"r_tr {r_tr} is too large: 2**r_tr - 1 is not finite") from None
+
+
 def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     """Gain threshold below which the target rate is unachievable.
 
@@ -34,9 +50,7 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     require_finite(r_tr=r_tr, p2=p2, sigma_n2=sigma_n2)
     if p2 <= 0 or sigma_n2 <= 0:
         raise ValueError("p2 and sigma_n2 must be positive")
-    if r_tr < 0:
-        raise ValueError("r_tr must be nonnegative")
-    return (2.0 ** r_tr - 1.0) * sigma_n2 / p2
+    return required_snr(r_tr) * sigma_n2 / p2
 
 
 def shannon_achievable(r_tr: float, snr: float) -> bool:
@@ -62,8 +76,7 @@ class OutageConfig:
 
     def __post_init__(self):
         require_finite(r_tr=self.r_tr, p2=self.p2, sigma_n2=self.sigma_n2)
-        if self.r_tr < 0:
-            raise ValueError("r_tr must be nonnegative")
+        required_snr(self.r_tr)
         if self.p2 <= 0 or self.sigma_n2 <= 0:
             raise ValueError("p2 and sigma_n2 must be positive")
         if self.m < 1 or self.k < 1:

@@ -5,6 +5,8 @@ import pytest
 
 from coopbeam.baseline import (
     MimoConfig,
+    _count_block_factory,
+    block_capacities,
     compare_systems,
     mimo_capacity,
     mimo_outage,
@@ -35,6 +37,45 @@ def test_capacity_unitary_invariance():
     for p in (1.0, 10.0, 100.0):
         assert mimo_capacity(Q @ H, p, 1.0) == pytest.approx(
             mimo_capacity(H, p, 1.0), rel=1e-10)
+
+
+def _reference_capacities(rng, n, n_rx, n_tx, scale):
+    """The complex MIMO block the real kernel replaced: einsum Gram, slogdet."""
+    re = rng.standard_normal((n, n_rx, n_tx))
+    im = rng.standard_normal((n, n_rx, n_tx))
+    H = (re + 1j * im) / np.sqrt(2.0)
+    gram = np.eye(n_rx) + scale * np.einsum("nij,nkj->nik", H, H.conj())
+    _, logdet = np.linalg.slogdet(gram)
+    return logdet / math.log(2.0)
+
+
+ANTENNAS = (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("n", [8192, 3616])
+@pytest.mark.parametrize("scale", [0.5, 5.0, 40.0])
+@pytest.mark.parametrize("n_tx", ANTENNAS)
+@pytest.mark.parametrize("n_rx", ANTENNAS)
+def test_block_capacities_match_complex_reference(n_rx, n_tx, scale, n):
+    seed = (n_rx, n_tx, n)
+    ref = _reference_capacities(np.random.default_rng(seed), n, n_rx, n_tx,
+                                scale)
+    got = block_capacities(np.random.default_rng(seed), n, n_rx, n_tx, scale)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [8192, 3616])
+@pytest.mark.parametrize("n_tx", ANTENNAS)
+@pytest.mark.parametrize("n_rx", ANTENNAS)
+def test_count_block_matches_complex_reference(n_rx, n_tx, n):
+    p_mimo, seed, b = 12.0, 31, 2
+    ref = _reference_capacities(np.random.default_rng((seed, b)), n, n_rx,
+                                n_tx, p_mimo / n_tx)
+    for r_tr in (0.25, 1.0, 3.0, 6.0, float(np.median(ref))):
+        cfg = MimoConfig(n_tx=n_tx, n_rx=n_rx, p_mimo=p_mimo, sigma_n2=1.0,
+                         r_tr=r_tr, seed=seed)
+        count = _count_block_factory(cfg)(b, n)
+        assert count == np.count_nonzero(ref < r_tr)
 
 
 def test_mimo_outage_zero_rate():

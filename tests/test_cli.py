@@ -75,6 +75,15 @@ def test_bad_snr_or_seed_exits_at_config_time(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["snr-sweep", "alpha-sweep", "corr-sweep"])
+def test_overflowing_rate_exits_at_config_time(command, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    rc = main([command, "--rtr", "1100", "--trials", "100", "--out", str(out)])
+    assert rc == 2
+    assert "r_tr 1100.0 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_alpha_sweep_writes_default_name_in_outdir(tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.setenv("COOPBEAM_OUTDIR", str(tmp_path))

@@ -37,6 +37,22 @@ GOLDEN = {
         ["snr-sweep", "--snr-db-range", "2:12:5",
          "--trials", FULL_AND_PARTIAL, "--seed", "7"],
         "f2ec58319349c73c3438dd0e30f1ded1741ba2cc0be56310703876e3ce758b55"),
+    "snr-mimo-m1": (
+        ["snr-sweep", "--m", "1", "--snr-db", "4", "--snr-db", "10",
+         "--trials", FULL_AND_PARTIAL, "--seed", "13"],
+        "fc4d318ca63a35101c6a53c2a89b0518ed24b27daf2be569031aeb842b511558"),
+    "snr-mimo-m2": (
+        ["snr-sweep", "--m", "2", "--snr-db", "0", "--snr-db", "6",
+         "--trials", FULL_AND_PARTIAL, "--seed", "17"],
+        "e5ad1fff9f0b7d68425622d7204c6308c53823e6991713855f5702b76a372c5b"),
+    "snr-mimo-m4": (
+        ["snr-sweep", "--m", "4", "--snr-db", "-2", "--snr-db", "4",
+         "--trials", FULL_AND_PARTIAL, "--seed", "19"],
+        "4b2d8744177a9c103572f29abf9411b1ede3de7d8b984b0c10dfffaa2fb4c0b0"),
+    "snr-mimo-m4-workers2": (
+        ["snr-sweep", "--m", "4", "--snr-db", "0", "--snr-db", "3",
+         "--trials", FULL_AND_PARTIAL, "--seed", "23", "--workers", "2"],
+        "3d01b0827193887fceb24816e8f5b035524fa216da1401e839a0f5bfdfc527a7"),
     "snr-vector-workers2": (
         ["snr-sweep", "--gain-mode", "vector", "--snr-db", "3",
          "--snr-db", "9", "--trials", FULL_AND_PARTIAL, "--seed", "11",

@@ -63,6 +63,12 @@ def test_config_rejects_non_finite_scalars(field):
         ExperimentConfig(experiment="alpha_sweep", **{field: math.nan})
 
 
+@pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])
+def test_config_rejects_overflowing_rate(r_tr):
+    with pytest.raises(ValueError, match="r_tr .* too large"):
+        ExperimentConfig(experiment="snr_sweep", r_tr=r_tr)
+
+
 @pytest.mark.parametrize("kw", [{"trials": 1000.5}, {"seed": -1},
                                 {"seed": (1, 2)}])
 def test_config_rejects_bad_trials_and_seed(kw):

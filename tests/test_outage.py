@@ -53,6 +53,17 @@ def test_threshold_rejects_non_finite(field, value):
         outage_threshold(**kw)
 
 
+@pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])
+def test_threshold_rejects_overflowing_rate(r_tr):
+    with pytest.raises(ValueError, match="r_tr .* too large"):
+        outage_threshold(r_tr, 1.0, 1.0)
+
+
+def test_threshold_accepts_largest_finite_rates():
+    assert math.isfinite(outage_threshold(1023.0, 1.0, 1.0))
+    assert math.isfinite(outage_threshold(1023.999, 1.0, 1.0))
+
+
 def test_shannon_boundary():
     assert shannon_achievable(3.0, 7.0) is True   # equality achieves the rate
     assert shannon_achievable(3.0, 6.999) is False
@@ -273,6 +284,12 @@ _MC_KW = dict(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5, trials=100)
 def test_mc_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         OutageConfig(**{**_MC_KW, field: value})
+
+
+@pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])
+def test_mc_config_rejects_overflowing_rate(r_tr):
+    with pytest.raises(ValueError, match="r_tr .* too large"):
+        OutageConfig(**{**_MC_KW, "r_tr": r_tr})
 
 
 @pytest.mark.parametrize("trials", [1000.5, 1000.0, True, "1000"])
