@@ -4,28 +4,16 @@ A cluster of K single-antenna nodes first shares the source symbol over an
 intra-cluster broadcast (power P1 = alpha * P_total), then transmits jointly
 to an M-antenna fusion center through random beamforming weights (power
 P2 = (1 - alpha) * P_total).  The library estimates the outage probability of
-the second hop empirically and analytically, optimizes the power split alpha,
+the second hop empirically and analytically, sweeps the power split alpha,
 and compares against an equal-power MIMO capacity-outage baseline on
 uncorrelated and correlated Rayleigh channels.
 """
 
+from ._version import __version__
 from .channel import (
     CorrelationMatrix,
-    apply_correlation,
-    condition_diagnostics,
     correlation_level,
-    draw_iid_rayleigh,
     exponential_correlation,
-)
-from .beamform import (
-    BeamformingWeights,
-    DegenerateChannelError,
-    channel_gain,
-    draw_weights,
-    effective_channel,
-    mrc_reconstruct,
-    received_snr,
-    transmit,
 )
 from .outage import (
     OutageConfig,
@@ -34,7 +22,6 @@ from .outage import (
     monte_carlo_outage,
     outage_threshold,
     regularized_lower_gamma,
-    shannon_achievable,
 )
 from .powerplan import (
     BroadcastSpec,
@@ -43,10 +30,9 @@ from .powerplan import (
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
-    optimize_alpha,
     split,
 )
-from .baseline import MimoConfig, compare_systems, mimo_outage
+from .baseline import MimoConfig, mimo_outage
 from .harness import (
     ExperimentConfig,
     RunManifest,
@@ -56,13 +42,9 @@ from .harness import (
     run_snr_sweep,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "BeamformingWeights",
     "BroadcastSpec",
     "CorrelationMatrix",
-    "DegenerateChannelError",
     "ExperimentConfig",
     "InfeasibleAllocationError",
     "MimoConfig",
@@ -70,31 +52,20 @@ __all__ = [
     "OutageEstimate",
     "PowerAllocation",
     "RunManifest",
+    "__version__",
     "analytical_outage",
-    "apply_correlation",
     "broadcast_feasible",
     "broadcast_power_bound",
-    "channel_gain",
     "cluster_size",
-    "compare_systems",
-    "condition_diagnostics",
     "correlation_level",
-    "draw_iid_rayleigh",
-    "draw_weights",
-    "effective_channel",
     "exponential_correlation",
     "mimo_outage",
     "monte_carlo_outage",
-    "mrc_reconstruct",
-    "optimize_alpha",
     "outage_threshold",
-    "received_snr",
     "regularized_lower_gamma",
     "run_alpha_sweep",
     "run_corr_sweep",
     "run_single_point",
     "run_snr_sweep",
-    "shannon_achievable",
     "split",
-    "transmit",
 ]

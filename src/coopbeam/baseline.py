@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._blocks import check_trials, parallel_count, seed_components
-from .outage import (
-    OutageConfig,
-    OutageEstimate,
-    monte_carlo_outage,
-    require_finite,
-)
+from .outage import OutageEstimate, require_finite
 
 _LN2 = math.log(2.0)
 
@@ -56,7 +51,14 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
     built, as real and imaginary n-vectors, and an unpivoted LDL^H
     elimination runs over it.  Every eigenvalue of the matrix is >= 1, so
     no pivoting is needed; the log det is the sum of the logs of the pivots.
+
+    When H has fewer columns than rows, H H^H is rank deficient and its
+    trailing pivots would have to cancel to 1 from values of order g.  The
+    elimination then runs on H^H instead: det(I + g H^H H) is the same
+    (Sylvester's identity) and its Gram matrix has full rank.
     """
+    if hr.shape[1] < hr.shape[0]:
+        hr, hi = hr.transpose(1, 0, 2), -hi.transpose(1, 0, 2)
     m = hr.shape[0]
     re = [[None] * m for _ in range(m)]
     im = [[None] * m for _ in range(m)]
@@ -144,33 +146,3 @@ def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
     se = math.sqrt(p * (1.0 - p) / cfg.trials)
     return OutageEstimate(probability=p, trials=cfg.trials,
                           std_error=se, threshold=cfg.r_tr)
-
-
-def compare_systems(snr_db_grid, proposed_cfg: OutageConfig,
-                    mimo_cfg: MimoConfig, workers: int = 1):
-    """Paired outage estimates of the two systems over an SNR grid.
-
-    Both systems spend the same total power: mimo_cfg.p_mimo is the shared
-    budget P_total, and the per-point noise variance is derived from the
-    grid as sigma_n2 = P_total / 10^(snr_db/10) (overall SNR convention).
-    proposed_cfg supplies the beamforming side (its p2 stays fixed — the
-    phase-2 share of the same budget); each grid point re-seeds both
-    estimators from (cfg.seed, point index).
-
-    Returns a list of (snr_db, p_out_proposed, p_out_mimo) in ascending SNR.
-    """
-    if proposed_cfg.p2 >= mimo_cfg.p_mimo:
-        raise ValueError(
-            "proposed p2 must be a proper share of the total budget p_mimo"
-        )
-    rows = []
-    for i, snr_db in enumerate(sorted(snr_db_grid)):
-        sigma_n2 = mimo_cfg.p_mimo / (10.0 ** (snr_db / 10.0))
-        pc = replace(proposed_cfg, sigma_n2=sigma_n2,
-                     seed=seed_components(proposed_cfg.seed) + (i,))
-        mc = replace(mimo_cfg, sigma_n2=sigma_n2,
-                     seed=seed_components(mimo_cfg.seed) + (i,))
-        p_prop = monte_carlo_outage(pc, workers=workers).probability
-        p_mimo = mimo_outage(mc, workers=workers).probability
-        rows.append((snr_db, p_prop, p_mimo))
-    return rows

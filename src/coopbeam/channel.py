@@ -1,4 +1,4 @@
-"""Rayleigh fading channel generation and receive-side correlation."""
+"""Receive-side correlation model of the Rayleigh fading channel."""
 
 from __future__ import annotations
 
@@ -6,38 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Smallest eigenvalue below this fraction of the largest is treated as zero
-# and the condition number saturates to +inf instead of a meaningless huge
-# float, so downstream averaging stays stable.
-COND_SENTINEL_RATIO = 1e-12
-
-
-def draw_iid_rayleigh(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an m x k matrix of iid circularly-symmetric complex Gaussians.
-
-    Entries are CN(0, 1): zero mean, unit total variance, split equally
-    between real and imaginary parts, so |h|^2 is Exp(1) distributed.
-
-    Args:
-        m: number of receive antennas (rows), >= 1.
-        k: number of transmitting nodes (columns), >= 1.
-        rng: numpy random generator; consumed in a fixed order
-            (all real parts, then all imaginary parts).
-
-    Returns:
-        Complex (m, k) ndarray.
-    """
-    if m < 1 or k < 1:
-        raise ValueError(f"channel dimensions must be >= 1, got {m}x{k}")
-    re = rng.standard_normal((m, k))
-    im = rng.standard_normal((m, k))
-    return (re + 1j * im) / np.sqrt(2.0)
+# Relative tolerance of the symmetry and positive-semidefiniteness checks:
+# rounding in a computed matrix stays far below it.
+_PSD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Receive-antenna correlation matrix with its scalar level.
 
+    ``entries`` must be finite, symmetric and positive semidefinite.
     ``level`` is the off-diagonal-to-diagonal Frobenius ratio
     ||C - diag(C)||_F / ||diag(C)||_F and always equals
     ``correlation_level(entries)``.
@@ -49,7 +27,17 @@ class CorrelationMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", entries)
+        if not np.isfinite(entries).all():
+            raise ValueError("correlation entries must be finite")
         lvl = correlation_level(entries)
+        scale = np.abs(entries).max()
+        if np.abs(entries - entries.T).max() > _PSD_RTOL * scale:
+            raise ValueError("correlation matrix must be symmetric")
+        eigs = np.linalg.eigvalsh(entries)
+        if eigs[0] < -_PSD_RTOL * eigs[-1]:
+            raise ValueError(
+                f"correlation matrix must be positive semidefinite, "
+                f"smallest eigenvalue {eigs[0]:.3g}")
         if self.level is None:
             object.__setattr__(self, "level", lvl)
         elif not np.isclose(self.level, lvl, rtol=0, atol=1e-12):
@@ -98,39 +86,3 @@ def correlation_level(C) -> float:
         raise ZeroDivisionError("correlation level undefined: all-zero diagonal")
     off = c - np.diag(diag)
     return float(np.linalg.norm(off) / denom)
-
-
-def apply_correlation(C, H: np.ndarray) -> np.ndarray:
-    """Apply receive-side correlation as the literal matrix product C @ H."""
-    c = _entries(C)
-    H = np.asarray(H)
-    if c.shape[1] != H.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: C is {c.shape}, H has {H.shape[0]} rows"
-        )
-    return c @ H
-
-
-def condition_diagnostics(H_eff: np.ndarray) -> dict:
-    """Eigenvalue spectrum and condition number of H_eff^H @ H_eff.
-
-    Args:
-        H_eff: effective channel matrix (any complex m x n, nonempty).
-
-    Returns:
-        dict with ``eigenvalues`` (descending, clipped to >= 0) and
-        ``condition_number`` (largest/smallest; +inf when the smallest
-        eigenvalue is below COND_SENTINEL_RATIO times the largest).
-    """
-    H_eff = np.asarray(H_eff)
-    if H_eff.size == 0:
-        raise ValueError("H_eff must be nonempty")
-    gram = H_eff.conj().T @ H_eff
-    eigs = np.linalg.eigvalsh(gram)[::-1]
-    eigs = np.clip(eigs.real, 0.0, None)
-    largest, smallest = eigs[0], eigs[-1]
-    if smallest <= COND_SENTINEL_RATIO * largest:
-        cond = np.inf
-    else:
-        cond = float(largest / smallest)
-    return {"eigenvalues": eigs.tolist(), "condition_number": cond}

@@ -19,21 +19,23 @@ Conventions used by every experiment
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._blocks import BLOCK_SIZE, check_trials, seed_components
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
-from .beamform import GAIN_MODES
 from .channel import exponential_correlation
 from .outage import (
     BOUND_VARIANTS,
+    GAIN_MODES,
     OutageConfig,
+    OutageEstimate,
     analytical_outage,
     monte_carlo_outage,
     require_finite,
@@ -42,6 +44,7 @@ from .outage import (
 from .powerplan import (
     BroadcastSpec,
     InfeasibleAllocationError,
+    PowerAllocation,
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
@@ -221,40 +224,60 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _render_csv(manifest: RunManifest, columns, rows) -> str:
-    lines = manifest.header_lines()
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _manifest(cfg: ExperimentConfig, start: float, row_count: int,
+              extra=None) -> RunManifest:
+    return RunManifest(config=_config_echo(cfg), version=__version__,
+                       master_seed=cfg.seed, subseed_rule=_SUBSEED_RULE,
+                       row_count=row_count,
+                       wall_clock_s=time.perf_counter() - start,
+                       extra=extra or {})
 
 
-def _write_output(cfg: ExperimentConfig, text: str) -> None:
+def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
+                  summary, extra) -> SweepResult:
+    """Manifest, CSV text and output file of a finished sweep."""
+    manifest = _manifest(cfg, start, len(rows), extra)
+    lines = manifest.header_lines() + [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
     if cfg.output_path:
         with open(cfg.output_path, "w") as fh:
             fh.write(text)
+    return SweepResult(columns, rows, summary, manifest, text)
+
+
+class _Point(NamedTuple):
+    """One evaluated grid point; k = 0 and estimate None when the power
+    split rounds to zero nodes."""
+
+    alloc: PowerAllocation
+    k: int
+    feasible: bool
+    estimate: Optional[OutageEstimate]
 
 
 def _point(cfg: ExperimentConfig, alpha: float, snr_db: float, index: int,
-           correlation=None):
-    """Evaluate one (alpha, snr) grid point; returns the full record."""
-    sigma_n2 = cfg.sigma_n2_at(snr_db)
+           workers: int, correlation=None) -> _Point:
+    """Run the Monte Carlo outage estimate of one (alpha, snr) grid point."""
     alloc = split(cfg.p_total, alpha)
     try:
         k = cluster_size(alpha, cfg.p_total, cfg.p_s)
     except InfeasibleAllocationError:
-        return {"snr_db": snr_db, "alpha": alpha, "k": 0, "feasible": False,
-                "analytical": math.nan, "alloc": alloc, "sigma_n2": sigma_n2}
+        return _Point(alloc, 0, False, None)
     feasible = broadcast_feasible(alloc.p1, k, cfg.broadcast_spec)
-    mc_cfg = OutageConfig(r_tr=cfg.r_tr, p2=alloc.p2, sigma_n2=sigma_n2,
-                          m=cfg.m, k=k, trials=cfg.trials,
-                          seed=(cfg.seed, index), gain_mode=cfg.gain_mode,
-                          correlation=correlation)
-    analytical = analytical_outage(cfg.m, k, cfg.r_tr, alloc.p2, sigma_n2,
-                                   variant=cfg.bound_variant)
-    return {"snr_db": snr_db, "alpha": alpha, "k": k, "feasible": feasible,
-            "mc_cfg": mc_cfg, "analytical": analytical, "alloc": alloc,
-            "sigma_n2": sigma_n2}
+    mc_cfg = OutageConfig(r_tr=cfg.r_tr, p2=alloc.p2,
+                          sigma_n2=cfg.sigma_n2_at(snr_db), m=cfg.m, k=k,
+                          trials=cfg.trials, seed=(cfg.seed, index),
+                          gain_mode=cfg.gain_mode, correlation=correlation)
+    return _Point(alloc, k, feasible,
+                  monte_carlo_outage(mc_cfg, workers=workers))
+
+
+def _p_se(est: Optional[OutageEstimate]) -> tuple:
+    """(probability, std_error) of an estimate, NaN for a point with no nodes."""
+    if est is None:
+        return math.nan, math.nan
+    return est.probability, est.std_error
 
 
 def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -267,44 +290,27 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = time.perf_counter()
     columns = ("snr_db", "alpha", "k", "feasible", "p_out_mc", "std_err",
                "p_out_analytical")
-    snrs = sorted(cfg.snr_db_grid)
-    alphas = sorted(cfg.alpha_grid)
+    grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.alpha_grid))
     rows = []
     best: dict[float, tuple] = {}
-    index = 0
-    for snr_db in snrs:
-        for alpha in alphas:
-            rec = _point(cfg, alpha, snr_db, index)
-            index += 1
-            if "mc_cfg" not in rec:
-                rows.append((snr_db, alpha, 0, 0, math.nan, math.nan,
-                             math.nan))
-                continue
-            est = monte_carlo_outage(rec["mc_cfg"], workers=workers)
-            rows.append((snr_db, alpha, rec["k"], int(rec["feasible"]),
-                         est.probability, est.std_error, rec["analytical"]))
-            if rec["feasible"]:
-                key = (est.probability, alpha)
-                if snr_db not in best or key < best[snr_db][:2]:
-                    best[snr_db] = (est.probability, alpha, rec["k"])
+    for index, (snr_db, alpha) in enumerate(grid):
+        pt = _point(cfg, alpha, snr_db, index, workers)
+        analytical = math.nan if pt.k == 0 else analytical_outage(
+            cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, cfg.sigma_n2_at(snr_db),
+            variant=cfg.bound_variant)
+        rows.append((snr_db, alpha, pt.k, int(pt.feasible),
+                     *_p_se(pt.estimate), analytical))
+        if pt.feasible:
+            key = (pt.estimate.probability, alpha)
+            if snr_db not in best or key < best[snr_db][:2]:
+                best[snr_db] = key + (pt.k,)
     summary = {snr: {"alpha_star": b[1], "k_star": b[2], "p_out_star": b[0]}
                for snr, b in best.items()}
-    extra = {}
-    for snr_db in snrs:
-        if snr_db in summary:
-            s = summary[snr_db]
-            extra[f"alpha_star[snr_db={_fmt(snr_db)}]"] = (
-                f"{_fmt(s['alpha_star'])} (k={s['k_star']}, "
-                f"p_out_mc={_fmt(s['p_out_star'])})"
-            )
+    extra = {f"alpha_star[snr_db={_fmt(snr)}]":
+             f"{_fmt(a)} (k={k}, p_out_mc={_fmt(p)})"
+             for snr, (p, a, k) in best.items()}
     _check_summary(rows, summary)
-    manifest = RunManifest(config=_config_echo(cfg), version=__version__,
-                           master_seed=cfg.seed, subseed_rule=_SUBSEED_RULE,
-                           row_count=len(rows), extra=extra)
-    manifest.wall_clock_s = time.perf_counter() - start
-    text = _render_csv(manifest, columns, rows)
-    _write_output(cfg, text)
-    return SweepResult(columns, rows, summary, manifest, text)
+    return _sweep_result(cfg, start, columns, rows, summary, extra)
 
 
 def _check_summary(rows, summary) -> None:
@@ -341,52 +347,38 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     columns = ("snr_db", "series_id", "p_out", "std_err")
     snrs = sorted(cfg.snr_db_grid)
     alphas = sorted(cfg.alpha_grid)
-    series_ids = [f"alpha={_fmt(a)}" for a in alphas]
+    alpha_ids = [f"alpha={_fmt(a)}" for a in alphas]
     mimo_id = f"mimo{cfg.m}x{cfg.m}"
-    if cfg.include_baseline:
-        series_ids.append(mimo_id)
+    series_ids = alpha_ids + ([mimo_id] if cfg.include_baseline else [])
     rows = []
     series: dict[str, list[float]] = {sid: [] for sid in series_ids}
     index = 0
     for snr_db in snrs:
-        sigma_n2 = cfg.sigma_n2_at(snr_db)
-        for alpha in alphas:
-            rec = _point(cfg, alpha, snr_db, index)
+        for alpha, sid in zip(alphas, alpha_ids):
+            p, se = _p_se(_point(cfg, alpha, snr_db, index, workers).estimate)
             index += 1
-            est = monte_carlo_outage(rec["mc_cfg"], workers=workers)
-            sid = f"alpha={_fmt(alpha)}"
-            rows.append((snr_db, sid, est.probability, est.std_error))
-            series[sid].append(est.probability)
+            rows.append((snr_db, sid, p, se))
+            series[sid].append(p)
         if cfg.include_baseline:
             mimo_cfg = MimoConfig(n_tx=cfg.m, n_rx=cfg.m, p_mimo=cfg.p_total,
-                                  sigma_n2=sigma_n2, r_tr=cfg.r_tr,
-                                  trials=cfg.trials, seed=(cfg.seed, index))
+                                  sigma_n2=cfg.sigma_n2_at(snr_db),
+                                  r_tr=cfg.r_tr, trials=cfg.trials,
+                                  seed=(cfg.seed, index))
             index += 1
             est = mimo_outage(mimo_cfg, workers=workers)
             rows.append((snr_db, mimo_id, est.probability, est.std_error))
             series[mimo_id].append(est.probability)
-    extra = {}
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            a, b = series_ids[i], series_ids[j]
-            xs = _crossovers(snrs, series[b], series[a])
-            extra[f"crossover[{b} vs {a}]"] = (
-                ",".join(_fmt(x) for x in xs) if xs else "none"
-            )
+    pairs = [(b, a) for a, b in itertools.combinations(alpha_ids, 2)]
     if cfg.include_baseline:
-        for sid in series_ids[:-1]:
-            xs = _crossovers(snrs, series[sid], series[mimo_id])
-            extra[f"crossover[{sid} vs {mimo_id}]"] = (
-                ",".join(_fmt(x) for x in xs) if xs else "none"
-            )
+        pairs += [(sid, mimo_id) for sid in alpha_ids]
+    extra = {}
+    for a, b in pairs:
+        xs = _crossovers(snrs, series[a], series[b])
+        extra[f"crossover[{a} vs {b}]"] = (
+            ",".join(_fmt(x) for x in xs) if xs else "none"
+        )
     summary = {"series": series_ids, "crossovers": extra}
-    manifest = RunManifest(config=_config_echo(cfg), version=__version__,
-                           master_seed=cfg.seed, subseed_rule=_SUBSEED_RULE,
-                           row_count=len(rows), extra=extra)
-    manifest.wall_clock_s = time.perf_counter() - start
-    text = _render_csv(manifest, columns, rows)
-    _write_output(cfg, text)
-    return SweepResult(columns, rows, summary, manifest, text)
+    return _sweep_result(cfg, start, columns, rows, summary, extra)
 
 
 def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -399,25 +391,14 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = time.perf_counter()
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     alpha = sorted(cfg.alpha_grid)[0]
-    snrs = sorted(cfg.snr_db_grid)
-    rs = sorted(cfg.corr_r_grid)
+    grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.corr_r_grid))
     rows = []
-    index = 0
-    for snr_db in snrs:
-        for r in rs:
-            C = exponential_correlation(cfg.m, r)
-            rec = _point(cfg, alpha, snr_db, index, correlation=C)
-            index += 1
-            est = monte_carlo_outage(rec["mc_cfg"], workers=workers)
-            rows.append((snr_db, r, C.level, est.probability, est.std_error))
-    summary = {"alpha": alpha}
-    manifest = RunManifest(config=_config_echo(cfg), version=__version__,
-                           master_seed=cfg.seed, subseed_rule=_SUBSEED_RULE,
-                           row_count=len(rows), extra={"alpha": _fmt(alpha)})
-    manifest.wall_clock_s = time.perf_counter() - start
-    text = _render_csv(manifest, columns, rows)
-    _write_output(cfg, text)
-    return SweepResult(columns, rows, summary, manifest, text)
+    for index, (snr_db, r) in enumerate(grid):
+        C = exponential_correlation(cfg.m, r)
+        pt = _point(cfg, alpha, snr_db, index, workers, correlation=C)
+        rows.append((snr_db, r, C.level, *_p_se(pt.estimate)))
+    return _sweep_result(cfg, start, columns, rows, {"alpha": alpha},
+                         {"alpha": _fmt(alpha)})
 
 
 def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -434,37 +415,29 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     if cfg.trials == 1:
         warnings.warn("trials=1 gives a degenerate estimate (p in {0,1}, "
                       "std_err 0)")
-    rec = _point(cfg, alpha, snr_db, 0)
-    alloc = rec["alloc"]
-    k = rec["k"]
-    bound = (broadcast_power_bound(k, cfg.broadcast_spec) if k >= 1
-             else math.inf)
+    pt = _point(cfg, alpha, snr_db, 0, workers)
+    sigma_n2 = cfg.sigma_n2_at(snr_db)
     report = {
         "alpha": alpha,
         "snr_db": snr_db,
         "p_total": cfg.p_total,
-        "p1": alloc.p1,
-        "p2": alloc.p2,
-        "k": k,
-        "sigma_n2": rec["sigma_n2"],
-        "broadcast_bound": bound,
-        "feasible": bool(rec["feasible"]),
+        "p1": pt.alloc.p1,
+        "p2": pt.alloc.p2,
+        "k": pt.k,
+        "sigma_n2": sigma_n2,
+        "broadcast_bound": (broadcast_power_bound(pt.k, cfg.broadcast_spec)
+                            if pt.k else math.inf),
+        "feasible": pt.feasible,
     }
-    if k >= 1:
-        est = monte_carlo_outage(rec["mc_cfg"], workers=workers)
+    est = pt.estimate
+    if est is not None:
         report["p_out_mc"] = est.probability
         report["std_err"] = est.std_error
         report["threshold"] = est.threshold
-        report["p_out_analytical_printed"] = analytical_outage(
-            cfg.m, k, cfg.r_tr, alloc.p2, rec["sigma_n2"], variant="printed")
-        report["p_out_analytical_complex_convention"] = analytical_outage(
-            cfg.m, k, cfg.r_tr, alloc.p2, rec["sigma_n2"],
-            variant="complex_convention")
-    manifest = RunManifest(config=_config_echo(cfg), version=__version__,
-                           master_seed=cfg.seed, subseed_rule=_SUBSEED_RULE,
-                           row_count=1)
-    manifest.wall_clock_s = time.perf_counter() - start
-    report["manifest"] = manifest
+        for variant in BOUND_VARIANTS:
+            report[f"p_out_analytical_{variant}"] = analytical_outage(
+                cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, sigma_n2, variant=variant)
+    report["manifest"] = _manifest(cfg, start, 1)
     return report
 
 

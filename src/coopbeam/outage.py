@@ -9,10 +9,10 @@ from typing import Optional
 import numpy as np
 
 from ._blocks import check_trials, parallel_count, seed_components
-from .beamform import GAIN_MODES
 from .channel import CorrelationMatrix
 
 BOUND_VARIANTS = ("printed", "complex_convention")
+GAIN_MODES = ("frobenius", "vector")
 
 _GAMMA_EPS = 1e-16
 _GAMMA_ITMAX = 1000
@@ -51,13 +51,6 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     if p2 <= 0 or sigma_n2 <= 0:
         raise ValueError("p2 and sigma_n2 must be positive")
     return required_snr(r_tr) * sigma_n2 / p2
-
-
-def shannon_achievable(r_tr: float, snr: float) -> bool:
-    """True iff rate r_tr is within the Shannon limit log2(1 + snr)."""
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    return r_tr <= math.log2(1.0 + snr)
 
 
 @dataclass(frozen=True)
@@ -181,12 +174,19 @@ def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
                           std_error=se, threshold=tau)
 
 
+def _not_converged(s: float, x: float) -> ArithmeticError:
+    return ArithmeticError(
+        f"regularized_lower_gamma(s={s}, x={x}) did not converge in "
+        f"{_GAMMA_ITMAX} terms")
+
+
 def regularized_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
 
     Series expansion for x < s + 1, Lentz continued fraction for the upper
     tail otherwise; absolute error <= 1e-12 over s in [0.5, 30], x in
-    [0, 100].
+    [0, 100].  Raises ArithmeticError when either does not converge within
+    _GAMMA_ITMAX terms, as for large s with x near s.
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
@@ -206,6 +206,8 @@ def regularized_lower_gamma(s: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * _GAMMA_EPS:
                 break
+        else:
+            raise _not_converged(s, x)
         return total * math.exp(-x + s * math.log(x) - gln)
     # modified Lentz continued fraction for Q(s, x); P = 1 - Q
     tiny = 1e-300
@@ -227,6 +229,8 @@ def regularized_lower_gamma(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
+    else:
+        raise _not_converged(s, x)
     q = math.exp(-x + s * math.log(x) - gln) * h
     return 1.0 - q
 

@@ -1,13 +1,9 @@
-"""Two-phase power budget: split, cluster size, feasibility, alpha search."""
+"""Two-phase power budget: split, cluster size and broadcast feasibility."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from .outage import OutageConfig, OutageEstimate, monte_carlo_outage
 
 
 class InfeasibleAllocationError(ValueError):
@@ -19,15 +15,13 @@ class PowerAllocation:
     """Split of the total budget across the two transmission phases.
 
     p1 = alpha * p_total funds the intra-cluster broadcast, p2 the
-    beamforming phase; they sum to p_total exactly.  k is the cluster size
-    implied by alpha (None until cluster_size has been applied).
+    beamforming phase; they sum to p_total exactly.
     """
 
     p_total: float
     alpha: float
     p1: float
     p2: float
-    k: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -89,45 +83,3 @@ def broadcast_power_bound(k: int, spec: BroadcastSpec) -> float:
 def broadcast_feasible(p1: float, k: int, spec: BroadcastSpec) -> bool:
     """True iff p1 covers the broadcast bound (phase then modeled error-free)."""
     return p1 >= broadcast_power_bound(k, spec)
-
-
-def optimize_alpha(grid: Sequence[float], p_total: float, p_s: float, m: int,
-                   r_tr: float, sigma_n2: float, trials: int, seed: int,
-                   spec: Optional[BroadcastSpec] = None,
-                   gain_mode: str = "frobenius", workers: int = 1) -> dict:
-    """Grid-search the power split minimizing Monte Carlo outage.
-
-    For each alpha the cluster size K and phase powers follow from the
-    budget; infeasible grid points (broadcast bound unmet) are skipped with
-    a warning.  Ties break toward smaller alpha, which spends less broadcast
-    power.  Returns alpha_star, k_star, p_out_star and the full (alpha, K,
-    estimate) curve in ascending-alpha order.
-    """
-    if len(grid) == 0:
-        raise ValueError("alpha grid must be nonempty")
-    if spec is None:
-        spec = BroadcastSpec(p_s=p_s)
-    curve: list[tuple[float, int, OutageEstimate]] = []
-    for i, alpha in enumerate(sorted(grid)):
-        alloc = split(p_total, alpha)
-        k = cluster_size(alpha, p_total, p_s)
-        if not broadcast_feasible(alloc.p1, k, spec):
-            warnings.warn(
-                f"alpha={alpha:.3g} infeasible: p1={alloc.p1:.4g} < "
-                f"bound {broadcast_power_bound(k, spec):.4g}; skipped"
-            )
-            continue
-        cfg = OutageConfig(r_tr=r_tr, p2=alloc.p2, sigma_n2=sigma_n2, m=m,
-                           k=k, trials=trials, seed=(seed, i),
-                           gain_mode=gain_mode)
-        curve.append((alpha, k, monte_carlo_outage(cfg, workers=workers)))
-    if not curve:
-        raise InfeasibleAllocationError("no feasible alpha on the grid")
-    best = min(curve, key=lambda row: (row[2].probability, row[0]))
-    assert all(best[2].probability <= row[2].probability for row in curve)
-    return {
-        "alpha_star": best[0],
-        "k_star": best[1],
-        "p_out_star": best[2].probability,
-        "curve": curve,
-    }

@@ -7,12 +7,9 @@ from coopbeam.baseline import (
     MimoConfig,
     _count_block_factory,
     block_capacities,
-    compare_systems,
     mimo_capacity,
     mimo_outage,
 )
-from coopbeam.channel import draw_iid_rayleigh
-from coopbeam.outage import OutageConfig
 
 
 def test_capacity_identity_channel_boundary():
@@ -32,8 +29,10 @@ def test_capacity_equal_power_split():
 @pytest.mark.properties
 def test_capacity_unitary_invariance():
     rng = np.random.default_rng(42)
-    H = draw_iid_rayleigh(3, 3, rng)
-    Q, _ = np.linalg.qr(draw_iid_rayleigh(3, 3, rng))
+    H = (rng.standard_normal((3, 3))
+         + 1j * rng.standard_normal((3, 3))) / np.sqrt(2.0)
+    Q, _ = np.linalg.qr((rng.standard_normal((3, 3))
+                         + 1j * rng.standard_normal((3, 3))) / np.sqrt(2.0))
     for p in (1.0, 10.0, 100.0):
         assert mimo_capacity(Q @ H, p, 1.0) == pytest.approx(
             mimo_capacity(H, p, 1.0), rel=1e-10)
@@ -76,6 +75,21 @@ def test_count_block_matches_complex_reference(n_rx, n_tx, n):
                          r_tr=r_tr, seed=seed)
         count = _count_block_factory(cfg)(b, n)
         assert count == np.count_nonzero(ref < r_tr)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e16])
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 2), (3, 1), (4, 3)])
+def test_block_capacities_rank_deficient_links(n_rx, n_tx, scale):
+    # H H^H has rank n_tx < n_rx; the oracle is the complex det of the
+    # full-rank n_tx x n_tx Gram I + g H^H H (Sylvester's identity)
+    n, seed = 2000, (n_rx, n_tx, 7)
+    got = block_capacities(np.random.default_rng(seed), n, n_rx, n_tx, scale)
+    z = np.random.default_rng(seed).standard_normal((2, n, n_rx, n_tx))
+    H = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    gram = np.eye(n_tx) + scale * np.einsum("nji,njk->nik", H.conj(), H)
+    want = np.log2(np.linalg.det(gram).real)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_mimo_outage_zero_rate():
@@ -135,34 +149,3 @@ def test_mimo_config_rejects_non_integer_trials(trials):
 def test_mimo_config_rejects_negative_seed(seed):
     with pytest.raises(ValueError, match="nonnegative integers"):
         MimoConfig(seed=seed)
-
-
-def _proposed_template(trials=4000):
-    # alpha = 0.3 share of a 60-unit budget: p2 = 42, K = 5 nodes
-    return OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=1.0, m=3, k=5,
-                        trials=trials, seed=100)
-
-
-def test_compare_systems_deterministic_and_sorted():
-    mimo = MimoConfig(p_mimo=60.0, trials=4000, seed=200)
-    grid = [8.0, 2.0, 5.0]
-    rows1 = compare_systems(grid, _proposed_template(), mimo)
-    rows2 = compare_systems(grid, _proposed_template(), mimo)
-    assert rows1 == rows2
-    assert [r[0] for r in rows1] == [2.0, 5.0, 8.0]
-
-
-def test_compare_systems_zero_rate_both_zero():
-    prop = OutageConfig(r_tr=0.0, p2=42.0, sigma_n2=1.0, m=3, k=5,
-                        trials=2000, seed=4)
-    mimo = MimoConfig(p_mimo=60.0, r_tr=0.0, trials=2000, seed=5)
-    for _, p_prop, p_mimo in compare_systems([4.0, 9.0], prop, mimo):
-        assert p_prop == 0.0
-        assert p_mimo == 0.0
-
-
-def test_compare_systems_rejects_inconsistent_budget():
-    prop = OutageConfig(r_tr=3.0, p2=80.0, sigma_n2=1.0, m=3, k=5,
-                        trials=100, seed=0)
-    with pytest.raises(ValueError):
-        compare_systems([4.0], prop, MimoConfig(p_mimo=60.0, trials=100))

@@ -5,45 +5,9 @@ from hypothesis import strategies as st
 
 from coopbeam.channel import (
     CorrelationMatrix,
-    apply_correlation,
-    condition_diagnostics,
     correlation_level,
-    draw_iid_rayleigh,
     exponential_correlation,
 )
-
-
-def test_draw_same_seed_identical():
-    a = draw_iid_rayleigh(3, 3, np.random.default_rng(77))
-    b = draw_iid_rayleigh(3, 3, np.random.default_rng(77))
-    assert np.array_equal(a, b)
-
-
-def test_draw_shape_and_dtype():
-    H = draw_iid_rayleigh(2, 5, np.random.default_rng(0))
-    assert H.shape == (2, 5)
-    assert np.iscomplexobj(H)
-    assert np.all(np.isfinite(H))
-
-
-def test_draw_unit_mean_square_magnitude():
-    # |CN(0,1)|^2 is Exp(1); one million samples pin the mean to 1 +- 0.01
-    H = draw_iid_rayleigh(1000, 1000, np.random.default_rng(3))
-    assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.01
-
-
-def test_draw_halved_component_variance():
-    H = draw_iid_rayleigh(700, 700, np.random.default_rng(9))
-    assert abs(np.var(H.real) - 0.5) < 0.01
-    assert abs(np.var(H.imag) - 0.5) < 0.01
-
-
-def test_draw_rejects_zero_dims():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        draw_iid_rayleigh(0, 3, rng)
-    with pytest.raises(ValueError):
-        draw_iid_rayleigh(3, 0, rng)
 
 
 def test_exponential_correlation_r0_identity():
@@ -76,6 +40,40 @@ def test_exponential_correlation_domain():
 def test_correlation_matrix_rejects_wrong_level():
     with pytest.raises(ValueError):
         CorrelationMatrix(np.eye(2), level=0.3)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+    ([[1.0, 0.5], [0.5, np.inf]], "finite"),
+    ([[1.0, 0.5], [0.4, 1.0]], "symmetric"),
+    ([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]], "symmetric"),
+    # eigenvalues -1, 1, 3
+    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "semidefinite"),
+    ([[1.0, -1.0 - 1e-9], [-1.0 - 1e-9, 1.0]], "semidefinite"),
+    ([[-1.0]], "semidefinite"),
+], ids=["nan", "inf", "asymmetric-2x2", "asymmetric-3x3", "indefinite",
+        "barely-indefinite", "negative-1x1"])
+def test_correlation_matrix_rejects_invalid_entries(entries, message):
+    with pytest.raises(ValueError, match=message):
+        CorrelationMatrix(np.array(entries))
+
+
+@pytest.mark.parametrize("entries", [
+    np.eye(3),
+    np.ones((3, 3)),  # rank one, smallest eigenvalue 0 up to rounding
+    [[2.0, 1.0], [1.0, 2.0]],
+    [[1.0, 1.0 + 1e-15], [1.0 + 1e-15, 1.0]],  # within rounding of PSD
+], ids=["identity", "all-ones", "2x2", "rounding"])
+def test_correlation_matrix_accepts_psd_entries(entries):
+    C = CorrelationMatrix(np.array(entries))
+    assert C.level == correlation_level(entries)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_exponential_correlation_builds_for_every_r(m):
+    for r in np.concatenate([np.linspace(0.0, 0.99, 100),
+                             [0.999, 0.9999999, np.nextafter(1.0, 0.0)]]):
+        assert exponential_correlation(m, float(r)).m == m
 
 
 def test_level_hand_values():
@@ -122,77 +120,3 @@ def test_level_strictly_increasing_in_r():
         levels = [exponential_correlation(m, r).level
                   for r in np.linspace(0.0, 0.95, 12)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
-
-
-def test_apply_identity_exact():
-    H = draw_iid_rayleigh(3, 4, np.random.default_rng(5))
-    out = apply_correlation(np.eye(3), H)
-    assert np.array_equal(out, H)
-
-
-@pytest.mark.properties
-def test_apply_identity_exact_via_constructed_matrix():
-    H = draw_iid_rayleigh(4, 2, np.random.default_rng(11))
-    C = exponential_correlation(4, 0.0)
-    assert np.array_equal(apply_correlation(C, H), H)
-
-
-def test_apply_rank_one_collapse():
-    H = np.array([[2.0 + 1.0j], [-1.0 + 0.5j]])
-    out = apply_correlation([[1.0, 1.0], [1.0, 1.0]], H)
-    assert np.allclose(out[0], out[1])
-    assert out[0, 0] == pytest.approx(H[0, 0] + H[1, 0])
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_correlation(np.eye(3), np.zeros((2, 4), dtype=complex))
-
-
-def test_apply_covariance_propagation():
-    # rows of C @ h have covariance C C^T when h is iid CN(0,1)
-    m, draws = 3, 100_000
-    C = exponential_correlation(m, 0.5)
-    rng = np.random.default_rng(17)
-    H = draw_iid_rayleigh(m, draws, rng)
-    Y = apply_correlation(C, H)
-    sample_cov = (Y @ Y.conj().T).real / draws
-    assert np.max(np.abs(sample_cov - C.entries @ C.entries.T)) < 0.02
-
-
-def test_condition_orthonormal_columns():
-    Q, _ = np.linalg.qr(draw_iid_rayleigh(5, 3, np.random.default_rng(2)))
-    diag = condition_diagnostics(Q)
-    assert np.allclose(diag["eigenvalues"], 1.0, atol=1e-10)
-    assert diag["condition_number"] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_condition_scaled_identity():
-    diag = condition_diagnostics(2.0 * np.eye(2))
-    assert diag["eigenvalues"] == pytest.approx([4.0, 4.0])
-    assert diag["condition_number"] == pytest.approx(1.0)
-
-
-def test_condition_descending_and_sentinel():
-    # rank-deficient matrix saturates to +inf rather than a huge float
-    H = np.array([[1.0, 1.0], [1.0, 1.0]])
-    diag = condition_diagnostics(H)
-    eigs = diag["eigenvalues"]
-    assert eigs == sorted(eigs, reverse=True)
-    assert diag["condition_number"] == np.inf
-
-
-@pytest.mark.properties
-def test_condition_mean_grows_with_correlation():
-    # same seed stream, with and without receive correlation
-    def mean_cond(r):
-        rng = np.random.default_rng(123)
-        C = exponential_correlation(3, r)
-        total = 0.0
-        for _ in range(10_000):
-            H = draw_iid_rayleigh(3, 3, rng)
-            total += condition_diagnostics(apply_correlation(C, H))[
-                "condition_number"]
-        return total / 10_000
-
-    assert mean_cond(0.75) > mean_cond(0.0)

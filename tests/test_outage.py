@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from coopbeam.outage import (
     monte_carlo_outage,
     outage_threshold,
     regularized_lower_gamma,
-    shannon_achievable,
 )
 
 
@@ -62,12 +62,6 @@ def test_threshold_rejects_overflowing_rate(r_tr):
 def test_threshold_accepts_largest_finite_rates():
     assert math.isfinite(outage_threshold(1023.0, 1.0, 1.0))
     assert math.isfinite(outage_threshold(1023.999, 1.0, 1.0))
-
-
-def test_shannon_boundary():
-    assert shannon_achievable(3.0, 7.0) is True   # equality achieves the rate
-    assert shannon_achievable(3.0, 6.999) is False
-    assert shannon_achievable(0.0, 0.0) is True
 
 
 # ------------------------------------------------- regularized lower gamma
@@ -122,6 +116,16 @@ def test_gamma_rejects_nonpositive_s():
         regularized_lower_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         regularized_lower_gamma(2.0, -0.5)
+
+
+# scipy gives 0.4996 and 0.5001 for the two series inputs and 0.5005 for the
+# continued-fraction one; the loops used to return 0.4213 and 0.2605 for the
+# first two without complaint
+@pytest.mark.parametrize("s, x", [(5e5, 5e5 - 1), (2e6, 2e6), (2e6, 2e6 + 1.5)],
+                         ids=["series", "series-at-s", "continued-fraction"])
+def test_gamma_raises_when_not_converged(s, x):
+    with pytest.raises(ArithmeticError, match=re.escape(f"s={s}, x={x}")):
+        regularized_lower_gamma(s, x)
 
 
 # ---------------------------------------------------------------- analytical
@@ -400,3 +404,17 @@ def test_count_block_is_gains_below_threshold(gain_mode):
         want = _reference_gains(np.random.default_rng([4, 2, b]), n, 3, 5,
                                 gain_mode, cfg.correlation.entries)
         assert count_block(b, n) == np.count_nonzero(want < tau)
+
+
+# Vector-mode gains without correlation, and frobenius gains at K = 1, are
+# exactly Gamma(M, 1): H v is CN(0, I_M) for any unit v independent of H.
+@pytest.mark.parametrize("gain_mode, k", [("vector", 1), ("vector", 5),
+                                          ("frobenius", 1)])
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_block_gains_exact_gamma_distribution(m, gain_mode, k):
+    n = 50_000
+    gain = block_gains(np.random.default_rng([97, m, k]), n, m, k, gain_mode)
+    for tau in m * np.array([0.25, 0.5, 1.0, 2.0]):
+        p = regularized_lower_gamma(float(m), float(tau))
+        sigma = math.sqrt(n * p * (1.0 - p))
+        assert abs(np.count_nonzero(gain < tau) - n * p) <= 5.0 * sigma

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from coopbeam.powerplan import (
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
-    optimize_alpha,
     split,
 )
 
@@ -23,7 +21,6 @@ def test_split_examples():
     assert b.p1 == b.p2 == pytest.approx(5.0)
     c = split(15.0, 0.4)
     assert (c.p1, c.p2) == (pytest.approx(6.0), pytest.approx(9.0))
-    assert c.k is None
 
 
 @pytest.mark.properties
@@ -100,67 +97,3 @@ def test_broadcast_spec_validation():
         BroadcastSpec(r_br=0.0)
     with pytest.raises(ValueError):
         BroadcastSpec(sigma_nbr2=-1.0)
-
-
-def test_optimize_alpha_single_point_grid():
-    res = optimize_alpha([0.3], p_total=60.0, p_s=4.0, m=3, r_tr=3.0,
-                         sigma_n2=60.0 / 10.0 ** 0.9, trials=5000, seed=2)
-    assert res["alpha_star"] == 0.3
-    assert res["k_star"] == 5
-    assert len(res["curve"]) == 1
-    assert res["p_out_star"] == res["curve"][0][2].probability
-
-
-def test_optimize_alpha_deterministic():
-    kwargs = dict(p_total=60.0, p_s=4.0, m=3, r_tr=3.0, sigma_n2=10.0,
-                  trials=8000, seed=77)
-    r1 = optimize_alpha([0.2, 0.4, 0.6], **kwargs)
-    r2 = optimize_alpha([0.2, 0.4, 0.6], **kwargs)
-    assert r1["alpha_star"] == r2["alpha_star"]
-    assert [c[2].probability for c in r1["curve"]] == \
-        [c[2].probability for c in r2["curve"]]
-
-
-def test_optimize_alpha_returns_grid_minimum():
-    res = optimize_alpha([0.2, 0.3, 0.4, 0.5, 0.6], p_total=60.0, p_s=4.0,
-                         m=3, r_tr=3.0, sigma_n2=12.0, trials=10_000, seed=5)
-    best = res["p_out_star"]
-    assert all(best <= row[2].probability for row in res["curve"])
-    assert res["curve"] == sorted(res["curve"], key=lambda row: row[0])
-
-
-def test_optimize_alpha_tie_breaks_toward_smaller_alpha():
-    # zero rate means zero outage at every alpha: all ties
-    res = optimize_alpha([0.3, 0.5, 0.7], p_total=60.0, p_s=4.0, m=3,
-                         r_tr=0.0, sigma_n2=10.0, trials=2000, seed=1)
-    assert res["alpha_star"] == 0.3
-    assert res["p_out_star"] == 0.0
-
-
-def test_optimize_alpha_skips_infeasible_with_warning():
-    # noisier broadcast channel: alpha = 0.3 (K = 5) needs 18.75 > p1 = 18
-    # while 0.2 (K = 3, bound 11.25) and 0.35 (K = 5, bound 18.75 <= 21) pass
-    spec = BroadcastSpec(r_br=2.0, sigma_nbr2=1.25, p_s=4.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = optimize_alpha([0.2, 0.3, 0.35], p_total=60.0, p_s=4.0, m=3,
-                             r_tr=3.0, sigma_n2=10.0, trials=2000, seed=3,
-                             spec=spec)
-    assert any("infeasible" in str(w.message) for w in caught)
-    assert [row[0] for row in res["curve"]] == [0.2, 0.35]
-
-
-def test_optimize_alpha_empty_feasible_set_raises():
-    # broadcast noise so high every grid point violates the bound
-    spec = BroadcastSpec(r_br=2.0, sigma_nbr2=10.0, p_s=4.0)
-    with pytest.raises(InfeasibleAllocationError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            optimize_alpha([0.2, 0.8], p_total=60.0, p_s=4.0, m=3, r_tr=3.0,
-                           sigma_n2=10.0, trials=2000, seed=3, spec=spec)
-
-
-def test_optimize_alpha_empty_grid_rejected():
-    with pytest.raises(ValueError):
-        optimize_alpha([], p_total=60.0, p_s=4.0, m=3, r_tr=3.0,
-                       sigma_n2=10.0, trials=100, seed=0)
