@@ -48,6 +48,7 @@ from .powerplan import (
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
+    optimize_alpha,
     split,
 )
 
@@ -292,7 +293,6 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                "p_out_analytical")
     grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.alpha_grid))
     rows = []
-    best: dict[float, tuple] = {}
     for index, (snr_db, alpha) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers)
         analytical = math.nan if pt.k == 0 else analytical_outage(
@@ -300,15 +300,17 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
             variant=cfg.bound_variant)
         rows.append((snr_db, alpha, pt.k, int(pt.feasible),
                      *_p_se(pt.estimate), analytical))
-        if pt.feasible:
-            key = (pt.estimate.probability, alpha)
-            if snr_db not in best or key < best[snr_db][:2]:
-                best[snr_db] = key + (pt.k,)
-    summary = {snr: {"alpha_star": b[1], "k_star": b[2], "p_out_star": b[0]}
-               for snr, b in best.items()}
+    summary = {}
+    for snr in dict.fromkeys(row[0] for row in rows):
+        curve = [row[1:5] for row in rows if row[0] == snr]
+        try:
+            summary[snr] = optimize_alpha(curve)
+        except InfeasibleAllocationError:
+            pass
     extra = {f"alpha_star[snr_db={_fmt(snr)}]":
-             f"{_fmt(a)} (k={k}, p_out_mc={_fmt(p)})"
-             for snr, (p, a, k) in best.items()}
+             f"{_fmt(s['alpha_star'])} (k={s['k_star']}, "
+             f"p_out_mc={_fmt(s['p_out_star'])})"
+             for snr, s in summary.items()}
     _check_summary(rows, summary)
     return _sweep_result(cfg, start, columns, rows, summary, extra)
 

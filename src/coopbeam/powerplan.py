@@ -1,4 +1,5 @@
-"""Two-phase power budget: split, cluster size and broadcast feasibility."""
+"""Two-phase power budget: split, cluster size, broadcast feasibility and
+the choice of the best split."""
 
 from __future__ import annotations
 
@@ -83,3 +84,20 @@ def broadcast_power_bound(k: int, spec: BroadcastSpec) -> float:
 def broadcast_feasible(p1: float, k: int, spec: BroadcastSpec) -> bool:
     """True iff p1 covers the broadcast bound (phase then modeled error-free)."""
     return p1 >= broadcast_power_bound(k, spec)
+
+
+def optimize_alpha(curve) -> dict:
+    """Best power split among one SNR's evaluated (alpha, k, feasible, p_out).
+
+    Infeasible points (broadcast bound unmet) are skipped.  Ties break
+    toward smaller alpha, which spends less broadcast power, so the result
+    does not depend on the order of the points.  Returns alpha_star, k_star
+    and p_out_star.
+    """
+    if len(curve) == 0:
+        raise ValueError("alpha curve must be nonempty")
+    feasible = [(p, alpha, k) for alpha, k, ok, p in curve if ok]
+    if not feasible:
+        raise InfeasibleAllocationError("no feasible alpha on the grid")
+    p, alpha, k = min(feasible)
+    return {"alpha_star": alpha, "k_star": k, "p_out_star": p}

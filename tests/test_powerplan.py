@@ -10,6 +10,7 @@ from coopbeam.powerplan import (
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
+    optimize_alpha,
     split,
 )
 
@@ -97,3 +98,62 @@ def test_broadcast_spec_validation():
         BroadcastSpec(r_br=0.0)
     with pytest.raises(ValueError):
         BroadcastSpec(sigma_nbr2=-1.0)
+
+
+def _alpha_sweep(**kwargs):
+    from coopbeam.harness import ExperimentConfig, run_alpha_sweep
+    return run_alpha_sweep(ExperimentConfig(experiment="alpha_sweep",
+                                            **kwargs))
+
+
+def test_optimize_alpha_single_point_grid():
+    res = _alpha_sweep(alpha_grid=[0.3], snr_db_grid=[9.0], trials=5000,
+                       seed=2)
+    assert res.summary[9.0]["alpha_star"] == 0.3
+    assert res.summary[9.0]["k_star"] == 5
+    assert res.summary[9.0]["p_out_star"] == res.rows[0][4]
+
+
+def test_optimize_alpha_deterministic():
+    curve = [(0.2, 3, 1, 0.40), (0.4, 6, 1, 0.25), (0.6, 9, 1, 0.25),
+             (0.5, 8, 0, 0.10)]
+    best = optimize_alpha(curve)
+    assert best == {"alpha_star": 0.4, "k_star": 6, "p_out_star": 0.25}
+    # the choice does not depend on the order of the points
+    assert optimize_alpha(curve[::-1]) == best
+    assert optimize_alpha(curve[1:] + curve[:1]) == best
+
+
+def test_optimize_alpha_returns_grid_minimum():
+    res = _alpha_sweep(alpha_grid=[0.2, 0.3, 0.4, 0.5, 0.6],
+                       snr_db_grid=[7.0], trials=10_000, seed=5)
+    best = res.summary[7.0]
+    assert all(best["p_out_star"] <= row[4] for row in res.rows)
+    row = next(r for r in res.rows if r[1] == best["alpha_star"])
+    assert (row[2], row[4]) == (best["k_star"], best["p_out_star"])
+
+
+def test_optimize_alpha_tie_breaks_toward_smaller_alpha():
+    # zero rate means zero outage at every alpha: all ties
+    res = _alpha_sweep(alpha_grid=[0.3, 0.5, 0.7], snr_db_grid=[8.0],
+                       r_tr=0.0, trials=2000, seed=1)
+    assert res.summary[8.0]["alpha_star"] == 0.3
+    assert res.summary[8.0]["p_out_star"] == 0.0
+    assert optimize_alpha([(0.7, 10, 1, 0.0), (0.3, 5, 1, 0.0)]) == \
+        {"alpha_star": 0.3, "k_star": 5, "p_out_star": 0.0}
+
+
+def test_optimize_alpha_empty_feasible_set_raises():
+    with pytest.raises(InfeasibleAllocationError):
+        optimize_alpha([(0.2, 3, 0, 0.1), (0.8, 12, 0, 0.0)])
+    # broadcast noise so high every grid point violates the bound: the
+    # sweep keeps the rows and reports no alpha* for that SNR
+    res = _alpha_sweep(alpha_grid=[0.2, 0.8], snr_db_grid=[6.0],
+                       sigma_nbr2=10.0, trials=2000, seed=3)
+    assert [row[3] for row in res.rows] == [0, 0]
+    assert res.summary == {}
+
+
+def test_optimize_alpha_empty_grid_rejected():
+    with pytest.raises(ValueError):
+        optimize_alpha([])
