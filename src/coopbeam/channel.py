@@ -15,21 +15,20 @@ _PSD_RTOL = 1e-12
 class CorrelationMatrix:
     """Receive-antenna correlation matrix with its scalar level.
 
-    ``entries`` must be finite, symmetric and positive semidefinite.
-    ``level`` is the off-diagonal-to-diagonal Frobenius ratio
-    ||C - diag(C)||_F / ||diag(C)||_F and always equals
-    ``correlation_level(entries)``.
+    ``entries`` must be finite, symmetric, positive semidefinite and not
+    all zero.  ``level`` is computed from them: the off-diagonal-to-diagonal
+    Frobenius ratio ||C - diag(C)||_F / ||diag(C)||_F of
+    ``correlation_level``.
     """
 
     entries: np.ndarray
-    level: float = field(default=None)  # type: ignore[assignment]
+    level: float = field(init=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = _entries(self.entries)
         object.__setattr__(self, "entries", entries)
         if not np.isfinite(entries).all():
             raise ValueError("correlation entries must be finite")
-        lvl = correlation_level(entries)
         scale = np.abs(entries).max()
         if np.abs(entries - entries.T).max() > _PSD_RTOL * scale:
             raise ValueError("correlation matrix must be symmetric")
@@ -38,12 +37,9 @@ class CorrelationMatrix:
             raise ValueError(
                 f"correlation matrix must be positive semidefinite, "
                 f"smallest eigenvalue {eigs[0]:.3g}")
-        if self.level is None:
-            object.__setattr__(self, "level", lvl)
-        elif not np.isclose(self.level, lvl, rtol=0, atol=1e-12):
-            raise ValueError(
-                f"stored level {self.level} != computed level {lvl}"
-            )
+        if not np.diag(entries).any():
+            raise ValueError("correlation matrix has an all-zero diagonal")
+        object.__setattr__(self, "level", correlation_level(entries))
 
     @property
     def m(self) -> int:
@@ -66,9 +62,13 @@ def exponential_correlation(m: int, r: float) -> CorrelationMatrix:
 
 
 def _entries(C) -> np.ndarray:
+    """C's entries as a float array; raises ValueError unless C is square."""
     if isinstance(C, CorrelationMatrix):
         return C.entries
-    return np.asarray(C, dtype=float)
+    c = np.asarray(C, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"C must be square, got shape {c.shape}")
+    return c
 
 
 def correlation_level(C) -> float:
@@ -78,8 +78,6 @@ def correlation_level(C) -> float:
     1.0 for the all-ones matrix.
     """
     c = _entries(C)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"C must be square, got shape {c.shape}")
     diag = np.diag(c)
     denom = np.linalg.norm(diag)
     if denom == 0.0:

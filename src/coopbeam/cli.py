@@ -75,9 +75,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="receive antennas at the fusion center")
     parser.add_argument("--ratio-ptotal-ps", type=float, default=None,
                         help="P_total / P_s budget ratio (K = alpha * ratio)")
-    parser.add_argument("--rtr", type=float, default=None,
+    parser.add_argument("--rtr", dest="r_tr", type=float, metavar="RTR",
                         help="transmission rate R_tr (bits/s/Hz)")
-    parser.add_argument("--rbr", type=float, default=None,
+    parser.add_argument("--rbr", dest="r_br", type=float, metavar="RBR",
                         help="broadcast rate R_br (bits/s/Hz)")
     parser.add_argument("--p-total", type=float, default=None,
                         help="total power budget (broadcast-noise units)")
@@ -95,7 +95,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "for any count)")
     parser.add_argument("--config", default=None,
                         help="key=value config file; flags take precedence")
-    parser.add_argument("--out", default=None, help="output CSV path")
+    parser.add_argument("--out", dest="output_path", metavar="OUT",
+                        help="output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,34 +118,47 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_alpha, p_snr, p_corr, p_point):
         _add_common(p)
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--alpha", type=float, action="append",
-                           default=None, help="explicit alpha (repeatable)")
-        group.add_argument("--alpha-range", type=parse_range, default=None,
-                           metavar="LO:HI:STEP")
+        group.add_argument("--alpha", dest="alpha_grid", type=float,
+                           action="append", metavar="ALPHA",
+                           help="explicit alpha (repeatable)")
+        group.add_argument("--alpha-range", dest="alpha_grid",
+                           type=parse_range, metavar="LO:HI:STEP")
         sgroup = p.add_mutually_exclusive_group()
-        sgroup.add_argument("--snr-db", type=float, action="append",
-                            default=None, help="explicit SNR in dB "
-                            "(repeatable)")
-        sgroup.add_argument("--snr-db-range", type=parse_range, default=None,
-                            metavar="LO:HI:STEP")
+        sgroup.add_argument("--snr-db", dest="snr_db_grid", type=float,
+                            action="append", metavar="SNR_DB",
+                            help="explicit SNR in dB (repeatable)")
+        sgroup.add_argument("--snr-db-range", dest="snr_db_grid",
+                            type=parse_range, metavar="LO:HI:STEP")
 
-    p_corr.add_argument("--corr", type=float, action="append", default=None,
+    p_corr.add_argument("--corr", dest="corr_r_grid", type=float,
+                        action="append", metavar="CORR",
                         help="exponential-model r value (repeatable)")
-    p_snr.add_argument("--no-baseline", action="store_true", default=None,
+    p_snr.add_argument("--no-baseline", dest="include_baseline",
+                       action="store_false", default=None,
                        help="omit the MIMO baseline series")
     return parser
 
 
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+# config-file key -> (dest of its flag, parser); every dest but workers is
+# the ExperimentConfig field it sets
 _CONFIG_KEYS = {
-    "m": int, "ratio_ptotal_ps": float, "rtr": float, "rbr": float,
-    "p_total": float, "sigma_nbr2": float, "trials": int, "seed": int,
-    "gain_mode": str, "bound_variant": str, "workers": int, "out": str,
-    "alpha": lambda s: [float(v) for v in s.split(",")],
-    "alpha_range": parse_range,
-    "snr_db": lambda s: [float(v) for v in s.split(",")],
-    "snr_db_range": parse_range,
-    "corr": lambda s: [float(v) for v in s.split(",")],
-    "no_baseline": lambda s: s.lower() in ("1", "true", "yes"),
+    "m": ("m", int), "ratio_ptotal_ps": ("ratio_ptotal_ps", float),
+    "rtr": ("r_tr", float), "rbr": ("r_br", float),
+    "p_total": ("p_total", float), "sigma_nbr2": ("sigma_nbr2", float),
+    "trials": ("trials", int), "seed": ("seed", int),
+    "gain_mode": ("gain_mode", str), "bound_variant": ("bound_variant", str),
+    "workers": ("workers", int), "out": ("output_path", str),
+    "alpha": ("alpha_grid", _floats),
+    "alpha_range": ("alpha_grid", parse_range),
+    "snr_db": ("snr_db_grid", _floats),
+    "snr_db_range": ("snr_db_grid", parse_range),
+    "corr": ("corr_r_grid", _floats),
+    "no_baseline": ("include_baseline",
+                    lambda s: s.lower() not in ("1", "true", "yes")),
 }
 
 
@@ -155,44 +169,13 @@ def _merge(args: argparse.Namespace) -> dict:
         for key, raw in load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](raw)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+            dest, parse = _CONFIG_KEYS[key]
+            merged[dest] = parse(raw)
+    for dest, _ in _CONFIG_KEYS.values():
+        flag = getattr(args, dest, None)
         if flag is not None:
-            merged[key] = flag
+            merged[dest] = flag
     return merged
-
-
-def _default_out(experiment: str) -> str:
-    outdir = os.environ.get(OUTDIR_ENV, "")
-    name = experiment.replace("_", "-") + ".csv"
-    return os.path.join(outdir, name) if outdir else name
-
-
-def _to_experiment_config(experiment: str, merged: dict) -> ExperimentConfig:
-    alpha_grid = merged.get("alpha") or merged.get("alpha_range")
-    snr_grid = merged.get("snr_db") or merged.get("snr_db_range")
-    kwargs = dict(
-        experiment=experiment,
-        alpha_grid=alpha_grid,
-        snr_db_grid=snr_grid,
-        corr_r_grid=merged.get("corr"),
-    )
-    for key, field in (("m", "m"), ("ratio_ptotal_ps", "ratio_ptotal_ps"),
-                       ("rtr", "r_tr"), ("rbr", "r_br"),
-                       ("p_total", "p_total"), ("sigma_nbr2", "sigma_nbr2"),
-                       ("trials", "trials"), ("seed", "seed"),
-                       ("gain_mode", "gain_mode"),
-                       ("bound_variant", "bound_variant")):
-        if key in merged:
-            kwargs[field] = merged[key]
-    if merged.get("no_baseline"):
-        kwargs["include_baseline"] = False
-    if experiment == "single_point":
-        kwargs["output_path"] = merged.get("out")
-    else:
-        kwargs["output_path"] = merged.get("out") or _default_out(experiment)
-    return ExperimentConfig(**kwargs)
 
 
 def main(argv=None) -> int:
@@ -202,16 +185,22 @@ def main(argv=None) -> int:
         experiment = "single_point"
     try:
         merged = _merge(args)
+        workers = merged.pop("workers", 1)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if experiment == "single_point":
-            if "alpha" not in merged and "alpha_range" not in merged:
+            if "alpha_grid" not in merged:
                 raise ValueError("point requires --alpha")
-            if "snr_db" not in merged and "snr_db_range" not in merged:
+            if "snr_db_grid" not in merged:
                 raise ValueError("point requires --snr-db")
-        cfg = _to_experiment_config(experiment, merged)
+        elif not merged.get("output_path"):
+            merged["output_path"] = os.path.join(
+                os.environ.get(OUTDIR_ENV, ""),
+                experiment.replace("_", "-") + ".csv")
+        cfg = ExperimentConfig(experiment=experiment, **merged)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workers = merged.get("workers", 1)
 
     if experiment == "single_point":
         report = run_single_point(cfg, workers=workers)

@@ -140,6 +140,9 @@ class ExperimentConfig:
         grid = tuple(float(v) for v in value)
         if not grid:
             raise ValueError("grids must be nonempty")
+        written = [_fmt(v) for v in grid]
+        if len(set(written)) < len(written):
+            raise ValueError(f"grid {','.join(written)} repeats a value")
         return grid
 
     @property
@@ -234,6 +237,14 @@ def _manifest(cfg: ExperimentConfig, start: float, row_count: int,
                        extra=extra or {})
 
 
+def _start(cfg: ExperimentConfig, experiment: str) -> float:
+    """Start time of a run, after checking that cfg is for this runner."""
+    if cfg.experiment != experiment:
+        raise ValueError(
+            f"{experiment} runner given a {cfg.experiment} config")
+    return time.perf_counter()
+
+
 def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
                   summary, extra) -> SweepResult:
     """Manifest, CSV text and output file of a finished sweep."""
@@ -288,7 +299,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     Infeasible allocations are flagged (feasible = 0), never dropped, and do
     not participate in the per-SNR alpha* summary.
     """
-    start = time.perf_counter()
+    start = _start(cfg, "alpha_sweep")
     columns = ("snr_db", "alpha", "k", "feasible", "p_out_mc", "std_err",
                "p_out_analytical")
     grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.alpha_grid))
@@ -311,15 +322,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
              f"{_fmt(s['alpha_star'])} (k={s['k_star']}, "
              f"p_out_mc={_fmt(s['p_out_star'])})"
              for snr, s in summary.items()}
-    _check_summary(rows, summary)
     return _sweep_result(cfg, start, columns, rows, summary, extra)
-
-
-def _check_summary(rows, summary) -> None:
-    # cross-check at write time: alpha* must be its SNR group's feasible minimum
-    for snr, s in summary.items():
-        group = [r for r in rows if r[0] == snr and r[3] == 1]
-        assert s["p_out_star"] <= min(r[4] for r in group)
 
 
 def _crossovers(snrs, series_a, series_b) -> list[float]:
@@ -345,41 +348,40 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     one ``mimo{m}x{m}`` series (unless include_baseline is off).  Measured
     series crossovers are recorded in the manifest.
     """
-    start = time.perf_counter()
+    start = _start(cfg, "snr_sweep")
     columns = ("snr_db", "series_id", "p_out", "std_err")
     snrs = sorted(cfg.snr_db_grid)
-    alphas = sorted(cfg.alpha_grid)
-    alpha_ids = [f"alpha={_fmt(a)}" for a in alphas]
+    # (alpha, series id) per series; the MIMO baseline's alpha is None
+    series = [(a, f"alpha={_fmt(a)}") for a in sorted(cfg.alpha_grid)]
+    alpha_ids = [sid for _, sid in series]
     mimo_id = f"mimo{cfg.m}x{cfg.m}"
-    series_ids = alpha_ids + ([mimo_id] if cfg.include_baseline else [])
+    if cfg.include_baseline:
+        series.append((None, mimo_id))
     rows = []
-    series: dict[str, list[float]] = {sid: [] for sid in series_ids}
-    index = 0
-    for snr_db in snrs:
-        for alpha, sid in zip(alphas, alpha_ids):
-            p, se = _p_se(_point(cfg, alpha, snr_db, index, workers).estimate)
-            index += 1
-            rows.append((snr_db, sid, p, se))
-            series[sid].append(p)
-        if cfg.include_baseline:
-            mimo_cfg = MimoConfig(n_tx=cfg.m, n_rx=cfg.m, p_mimo=cfg.p_total,
-                                  sigma_n2=cfg.sigma_n2_at(snr_db),
-                                  r_tr=cfg.r_tr, trials=cfg.trials,
-                                  seed=(cfg.seed, index))
-            index += 1
-            est = mimo_outage(mimo_cfg, workers=workers)
-            rows.append((snr_db, mimo_id, est.probability, est.std_error))
-            series[mimo_id].append(est.probability)
+    grid = itertools.product(snrs, series)
+    for index, (snr_db, (alpha, sid)) in enumerate(grid):
+        if alpha is None:
+            est = mimo_outage(MimoConfig(
+                n_tx=cfg.m, n_rx=cfg.m, p_mimo=cfg.p_total,
+                sigma_n2=cfg.sigma_n2_at(snr_db), r_tr=cfg.r_tr,
+                trials=cfg.trials, seed=(cfg.seed, index)), workers=workers)
+        else:
+            est = _point(cfg, alpha, snr_db, index, workers).estimate
+        rows.append((snr_db, sid, *_p_se(est)))
+
+    def curve(sid):
+        return [row[2] for row in rows if row[1] == sid]
+
     pairs = [(b, a) for a, b in itertools.combinations(alpha_ids, 2)]
     if cfg.include_baseline:
         pairs += [(sid, mimo_id) for sid in alpha_ids]
     extra = {}
     for a, b in pairs:
-        xs = _crossovers(snrs, series[a], series[b])
+        xs = _crossovers(snrs, curve(a), curve(b))
         extra[f"crossover[{a} vs {b}]"] = (
             ",".join(_fmt(x) for x in xs) if xs else "none"
         )
-    summary = {"series": series_ids, "crossovers": extra}
+    summary = {"series": [sid for _, sid in series], "crossovers": extra}
     return _sweep_result(cfg, start, columns, rows, summary, extra)
 
 
@@ -390,7 +392,7 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     off-diagonal Frobenius ratio of the exponential-model C actually applied
     (as the literal product C @ H) at that point.
     """
-    start = time.perf_counter()
+    start = _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     alpha = sorted(cfg.alpha_grid)[0]
     grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.corr_r_grid))
@@ -411,7 +413,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     variants, and the run manifest.  trials = 1 is legal but degenerate
     (probability 0 or 1 with zero standard error) and draws a warning.
     """
-    start = time.perf_counter()
+    start = _start(cfg, "single_point")
     alpha = cfg.alpha_grid[0]
     snr_db = cfg.snr_db_grid[0]
     if cfg.trials == 1:
@@ -433,9 +435,9 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     }
     est = pt.estimate
     if est is not None:
+        report["threshold"] = est.threshold
         report["p_out_mc"] = est.probability
         report["std_err"] = est.std_error
-        report["threshold"] = est.threshold
         for variant in BOUND_VARIANTS:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
                 cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, sigma_n2, variant=variant)
@@ -445,18 +447,12 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
 def format_report(report: dict) -> str:
     """Human-readable single-point report (manifest lines included)."""
-    lines = []
-    for key in ("alpha", "snr_db", "p_total", "p1", "p2", "k", "sigma_n2",
-                "broadcast_bound", "feasible", "threshold", "p_out_mc",
-                "std_err", "p_out_analytical_printed",
-                "p_out_analytical_complex_convention"):
-        if key in report:
-            lines.append(f"{key} = {_fmt(report[key])}")
+    lines = [f"{key} = {_fmt(value)}" for key, value in report.items()
+             if key != "manifest"]
     lines.extend(report["manifest"].header_lines())
     return "\n".join(lines) + "\n"
 
 
-def report_timing(manifest: RunManifest, stream=None) -> None:
+def report_timing(manifest: RunManifest) -> None:
     """Print wall-clock to stderr (kept out of the CSV for reproducibility)."""
-    stream = stream if stream is not None else sys.stderr
-    print(f"wall_clock_s = {manifest.wall_clock_s:.3f}", file=stream)
+    print(f"wall_clock_s = {manifest.wall_clock_s:.3f}", file=sys.stderr)

@@ -37,11 +37,6 @@ def test_exponential_correlation_domain():
         exponential_correlation(0, 0.5)
 
 
-def test_correlation_matrix_rejects_wrong_level():
-    with pytest.raises(ValueError):
-        CorrelationMatrix(np.eye(2), level=0.3)
-
-
 @pytest.mark.parametrize("entries, message", [
     ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
     ([[1.0, 0.5], [0.5, np.inf]], "finite"),
@@ -51,8 +46,10 @@ def test_correlation_matrix_rejects_wrong_level():
     ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "semidefinite"),
     ([[1.0, -1.0 - 1e-9], [-1.0 - 1e-9, 1.0]], "semidefinite"),
     ([[-1.0]], "semidefinite"),
+    (np.zeros((3, 3)), "all-zero diagonal"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
 ], ids=["nan", "inf", "asymmetric-2x2", "asymmetric-3x3", "indefinite",
-        "barely-indefinite", "negative-1x1"])
+        "barely-indefinite", "negative-1x1", "zero", "non-square"])
 def test_correlation_matrix_rejects_invalid_entries(entries, message):
     with pytest.raises(ValueError, match=message):
         CorrelationMatrix(np.array(entries))

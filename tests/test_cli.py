@@ -119,6 +119,46 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert "# alpha_grid = 0.3" in text
 
 
+@pytest.mark.parametrize("command, line, flags, echo", [
+    ("snr-sweep", "snr_db = 4,6", ["--snr-db-range", "8:10:1"],
+     "# snr_db_grid = 8,9,10"),
+    ("alpha-sweep", "alpha = 0.3", ["--alpha-range", "0.4:0.5:0.1"],
+     "# alpha_grid = 0.4,0.5"),
+    ("alpha-sweep", "alpha_range = 0.3:0.4:0.1", ["--alpha", "0.5"],
+     "# alpha_grid = 0.5"),
+    ("corr-sweep", "corr = 0,0.5", ["--corr", "0.25"],
+     "# corr_r_grid = 0.25"),
+], ids=["snr-db-range", "alpha-range", "alpha-over-alpha_range", "corr"])
+def test_range_flag_beats_file_grid(command, line, flags, echo, tmp_path,
+                                    capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trials = 500\n{line}\n")
+    out = tmp_path / "a.csv"
+    rc = main([command, "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 0
+    assert echo in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("file, flags", [
+    ("", ["--workers", "0"]),
+    ("", ["--workers", "-3"]),
+    ("workers = 0\n", []),
+    ("", ["--alpha", "0.3", "--alpha", "0.3"]),
+    ("", ["--snr-db", "4", "--snr-db", "4.00000000001"]),
+], ids=["workers-0", "workers-negative", "workers-0-in-file",
+        "repeated-alpha", "repeated-snr-as-written"])
+def test_bad_workers_or_repeated_grid_exits_before_running(file, flags,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(file)
+    out = tmp_path / "never.csv"
+    rc = main(["snr-sweep", "--config", str(cfg), *flags, "--trials", "100",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_snr_sweep_no_baseline_flag(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main(["snr-sweep", "--snr-db", "5", "--trials", "1000",
@@ -126,6 +166,19 @@ def test_snr_sweep_no_baseline_flag(tmp_path, capsys):
     assert rc == 0
     text = out.read_text()
     assert "mimo3x3" not in text
+
+
+@pytest.mark.parametrize("value, include", [("yes", 0), ("0", 1)])
+def test_no_baseline_config_key(value, include, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"no_baseline = {value}\n")
+    out = tmp_path / "s.csv"
+    rc = main(["snr-sweep", "--config", str(cfg), "--snr-db", "5",
+               "--trials", "500", "--out", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    assert f"# include_baseline = {include}" in text
+    assert ("mimo3x3" in text) == bool(include)
 
 
 def test_workers_flag_output_identical(tmp_path, capsys):

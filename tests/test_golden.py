@@ -75,6 +75,20 @@ GOLDEN = {
 }
 
 
+# point reports: run id -> (argv without --out, exit status, sha256 of the
+# written report)
+GOLDEN_POINT = {
+    "point": (
+        ["point", "--alpha", "0.4", "--snr-db", "4",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"], 0,
+        "237773c67eac6079ce1b9da50d7597dd0618e03dd2965289f29e72166fad0c72"),
+    "point-infeasible": (
+        ["point", "--alpha", "0.4", "--snr-db", "4", "--sigma-nbr2", "2",
+         "--trials", FULL_AND_PARTIAL, "--seed", "7"], 1,
+        "ff29130b1cdf7a0c7c631ce91e92d02472a4cc4430bcd97f2cd7c79375decaf3"),
+}
+
+
 def csv_sha256(argv, out) -> str:
     assert main([*argv, "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -84,3 +98,11 @@ def csv_sha256(argv, out) -> str:
 def test_golden_csv_sha256(run, tmp_path, capsys):
     argv, expected = GOLDEN[run]
     assert csv_sha256(argv, tmp_path / f"{run}.csv") == expected
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_POINT))
+def test_golden_point_sha256(run, tmp_path, capsys):
+    argv, status, expected = GOLDEN_POINT[run]
+    out = tmp_path / f"{run}.txt"
+    assert main([*argv, "--out", str(out)]) == status
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected

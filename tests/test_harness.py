@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopbeam.channel import correlation_level, exponential_correlation
 from coopbeam.harness import (
@@ -74,6 +76,40 @@ def test_config_rejects_overflowing_rate(r_tr):
 def test_config_rejects_bad_trials_and_seed(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="alpha_sweep", **kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"alpha_grid": [0.3, 0.3]},
+    {"alpha_grid": [0.3, 0.4, 0.30000000001]},  # both write as alpha=0.3
+    {"snr_db_grid": [4.0, 6.0, 4.0]},
+    {"corr_r_grid": [0.5, 0.0, 0.5]},
+], ids=["alpha", "alpha-as-written", "snr", "corr"])
+def test_config_rejects_repeated_grid_values(kw):
+    with pytest.raises(ValueError, match="repeats a value"):
+        ExperimentConfig(experiment="snr_sweep", **kw)
+
+
+@given(grid=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6),
+       data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_any_grid_with_a_repeat_is_rejected(grid, data):
+    grid = grid + [data.draw(st.sampled_from(grid))]
+    grid = data.draw(st.permutations(grid))
+    for field in ("alpha_grid", "snr_db_grid", "corr_r_grid"):
+        with pytest.raises(ValueError, match="repeats a value"):
+            ExperimentConfig(experiment="corr_sweep", **{field: grid})
+
+
+@pytest.mark.parametrize("runner, experiment", [
+    (run_alpha_sweep, "corr_sweep"),
+    (run_snr_sweep, "alpha_sweep"),
+    (run_corr_sweep, "alpha_sweep"),
+    (run_single_point, "snr_sweep"),
+])
+def test_runner_rejects_another_experiments_config(runner, experiment):
+    cfg = _cfg(experiment=experiment, alpha_grid=[0.3], snr_db_grid=[6.0])
+    with pytest.raises(ValueError, match=f"given a {experiment} config"):
+        runner(cfg)
 
 
 def test_config_snr_to_noise():

@@ -128,6 +128,14 @@ def test_gamma_raises_when_not_converged(s, x):
         regularized_lower_gamma(s, x)
 
 
+# s*log(x) and lgamma(s) are both ~1.3e7 at s = 1e6, so subtracting them
+# directly used to leave these 3.5e-10 and 1.5e-10 off scipy
+@pytest.mark.parametrize("s, x", [(1e6, 1e6 + 2), (5e5, 5e5 + 2)])
+def test_gamma_large_s_matches_scipy(s, x):
+    assert regularized_lower_gamma(s, x) == pytest.approx(
+        scipy.special.gammainc(s, x), abs=1e-12)
+
+
 # ---------------------------------------------------------------- analytical
 
 def test_analytical_s1_closed_form():
