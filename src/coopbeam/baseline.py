@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import check_trials, parallel_count, seed_components
+from ._blocks import (check_trials, chunks, parallel_count, seed_components,
+                      workspace)
 from .outage import OutageEstimate, require_finite
 
 _LN2 = math.log(2.0)
@@ -51,60 +52,73 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
     built, as real and imaginary n-vectors, and an unpivoted LDL^H
     elimination runs over it.  Every eigenvalue of the matrix is >= 1, so
     no pivoting is needed; the log det is the sum of the logs of the pivots.
+    The matrix, the pivot rows and the result live in this thread's
+    workspace: the result is a view that the next call overwrites.
 
     When H has fewer columns than rows, H H^H is rank deficient and its
     trailing pivots would have to cancel to 1 from values of order g.  The
-    elimination then runs on H^H instead: det(I + g H^H H) is the same
-    (Sylvester's identity) and its Gram matrix has full rank.
+    elimination then runs on H^T instead: its Gram matrix has full rank,
+    and det(I + g H^T conj(H)) is the conjugate of det(I + g H^H H), which
+    is real and by Sylvester's identity the same as det(I + g H H^H).
     """
     if hr.shape[1] < hr.shape[0]:
-        hr, hi = hr.transpose(1, 0, 2), -hi.transpose(1, 0, 2)
-    m = hr.shape[0]
-    re = [[None] * m for _ in range(m)]
-    im = [[None] * m for _ in range(m)]
+        hr, hi = hr.transpose(1, 0, 2), hi.transpose(1, 0, 2)
+    m, n = hr.shape[0], hr.shape[2]
+    re, im = workspace("gram", (2, m, m, n))
+    t, s = workspace("terms", (2, n))
     for i in range(m):
         for k in range(i + 1):
             # (H H^H)[i, k] = sum_j H[i, j] * conj(H[k, j])
-            r = (np.einsum("jn,jn->n", hr[i], hr[k])
-                 + np.einsum("jn,jn->n", hi[i], hi[k]))
+            r = np.einsum("jn,jn->n", hr[i], hr[k], out=re[i, k])
+            r += np.einsum("jn,jn->n", hi[i], hi[k], out=t)
             r *= g
             if i == k:
                 r += 1.0
             else:
-                q = (np.einsum("jn,jn->n", hi[i], hr[k])
-                     - np.einsum("jn,jn->n", hr[i], hi[k]))
+                q = np.einsum("jn,jn->n", hi[i], hr[k], out=im[i, k])
+                q -= np.einsum("jn,jn->n", hr[i], hi[k], out=t)
                 q *= g
-                im[i][k] = q
-            re[i][k] = r
-    logdet = np.log(re[0][0])
+    logdet = np.log(re[0, 0], out=workspace("logdet", (n,)))
+    inv, lr, li = workspace("pivot", (3, n))
     for j in range(m - 1):
-        inv = 1.0 / re[j][j]
+        np.divide(1.0, re[j, j], out=inv)
         for i in range(j + 1, m):
             # A[i, k] -= l * conj(A[k, j]) with l = A[i, j] / A[j, j]
-            lr = re[i][j] * inv
-            li = im[i][j] * inv
+            np.multiply(re[i, j], inv, out=lr)
+            np.multiply(im[i, j], inv, out=li)
             for k in range(j + 1, i + 1):
-                br, bi = re[k][j], im[k][j]
-                re[i][k] -= lr * br + li * bi
+                br, bi = re[k, j], im[k, j]
+                np.multiply(lr, br, out=t)
+                t += np.multiply(li, bi, out=s)
+                re[i, k] -= t
                 if k < i:
-                    im[i][k] -= li * br - lr * bi
-        logdet += np.log(re[j + 1][j + 1])
+                    np.multiply(li, br, out=t)
+                    t -= np.multiply(lr, bi, out=s)
+                    im[i, k] -= t
+        logdet += np.log(re[j + 1, j + 1], out=t)
     return logdet
 
 
 def block_capacities(rng: np.random.Generator, n: int, n_rx: int, n_tx: int,
                      scale: float) -> np.ndarray:
-    """Capacities in bits/s/Hz of n channels drawn from rng.
+    """Capacities in bits/s/Hz of n channels drawn from rng, as a new array.
 
-    Draw order: the channel's real and imaginary parts as one
-    ``standard_normal((2, n, n_rx, n_tx))`` (the same stream as two
-    (n, n_rx, n_tx) draws, real parts first).  The model is
+    Draw order: the channel's real parts, then its imaginary parts, as
+    ``(n, n_rx, n_tx)`` standard normals each.  They are drawn in chunks of
+    whole trials (the same stream) and copied into this thread's
+    entry-major (2, n_rx, n_tx, n) workspace.  The model is
     H = (re + j*im) / sqrt(2), and the capacity is
     log2 det(I + scale * H H^H); the 1/sqrt(2) is folded into scale / 2.
     """
-    z = rng.standard_normal((2, n, n_rx, n_tx))
-    hr, hi = z.transpose(0, 2, 3, 1).copy()
-    return _log_det(hr, hi, scale / 2.0) / _LN2
+    h = workspace("entries", (2, n_rx, n_tx, n))
+    parts = chunks(n, n_rx * n_tx)
+    draw = workspace("chunk", (parts[0][1], n_rx, n_tx))
+    for half in h:
+        for start, stop in parts:
+            z = draw[:stop - start]
+            rng.standard_normal(out=z)
+            half[..., start:stop] = z.transpose(1, 2, 0)
+    return _log_det(h[0], h[1], scale / 2.0) / _LN2
 
 
 def mimo_capacity(H: np.ndarray, p_mimo: float, sigma_n2: float) -> float:

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 
+from ._blocks import check_workers
 from .harness import (
     ExperimentConfig,
     format_report,
@@ -56,7 +57,11 @@ def parse_range(text: str) -> list[float]:
 
 
 def load_config_file(path: str) -> dict:
-    """Read a key=value config file; '#' starts a comment."""
+    """Read a key=value config file; '#' starts a comment.
+
+    Raises ValueError, naming the file and line, for a line without '=' and
+    for a key given twice.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -66,7 +71,10 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = val.strip()
     return values
 
 
@@ -163,13 +171,22 @@ _CONFIG_KEYS = {
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """File values first, then any flag that was actually given."""
+    """File values first, then any flag that was actually given.
+
+    Two file keys that fill one destination, such as alpha and alpha_range,
+    raise ValueError, as their flags would.
+    """
     merged: dict = {}
     if args.config:
+        source: dict = {}
         for key, raw in load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             dest, parse = _CONFIG_KEYS[key]
+            if dest in source:
+                raise ValueError(f"{args.config}: config keys "
+                                 f"{source[dest]!r} and {key!r} conflict")
+            source[dest] = key
             merged[dest] = parse(raw)
     for dest, _ in _CONFIG_KEYS.values():
         flag = getattr(args, dest, None)
@@ -186,8 +203,7 @@ def main(argv=None) -> int:
     try:
         merged = _merge(args)
         workers = merged.pop("workers", 1)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        check_workers(workers)
         if experiment == "single_point":
             if "alpha_grid" not in merged:
                 raise ValueError("point requires --alpha")

@@ -395,10 +395,11 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     alpha = sorted(cfg.alpha_grid)[0]
-    grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.corr_r_grid))
+    corr = [(r, exponential_correlation(cfg.m, r))
+            for r in sorted(cfg.corr_r_grid)]
     rows = []
-    for index, (snr_db, r) in enumerate(grid):
-        C = exponential_correlation(cfg.m, r)
+    grid = itertools.product(sorted(cfg.snr_db_grid), corr)
+    for index, (snr_db, (r, C)) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers, correlation=C)
         rows.append((snr_db, r, C.level, *_p_se(pt.estimate)))
     return _sweep_result(cfg, start, columns, rows, {"alpha": alpha},

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._blocks import check_trials, parallel_count, seed_components
+from ._blocks import (check_trials, chunks, parallel_count, seed_components,
+                      workspace)
 from .channel import CorrelationMatrix
 
 BOUND_VARIANTS = ("printed", "complex_convention")
@@ -93,28 +94,98 @@ class OutageEstimate:
     threshold: float
 
 
-def _sum_axis1(x: np.ndarray) -> np.ndarray:
-    """Sum x over axis 1 by adding its slices in turn.
+def _sum_axis1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum x over axis 1 into out by adding its slices in turn.
 
     For a short axis 1, such as the antenna axis, the slice adds run on
-    contiguous rows and beat a strided ``x.sum(axis=1)``.
+    contiguous rows and beat a strided ``x.sum(axis=1)``.  out must not
+    overlap x, or numpy copies each slice before adding it.
     """
-    total = x[:, 0].copy()
+    np.copyto(out, x[:, 0])
     for j in range(1, x.shape[1]):
-        total += x[:, j]
-    return total
+        out += x[:, j]
+    return out
+
+
+def _frobenius_power(rng, n, m, k, C, power, norm) -> None:
+    """Frobenius-mode power and weight norm of n trials, into power and norm.
+
+    Streams the channel through chunk buffers: each half (real, then
+    imaginary) is drawn in chunks of whole trials, mapped by C, squared and
+    summed over antennas into an (n, k) accumulator, so a column's norm is
+    sum_m re^2 + sum_m im^2.  The amplitudes follow in chunks as well.
+    """
+    col = workspace("col", (n, k))
+    parts = chunks(n, m * k)
+    rows = parts[0][1]
+    draw = workspace("chunk", (rows, m, k))
+    mapped = workspace("mapped", (rows, m, k)) if C is not None else None
+    total = workspace("total", (rows, k))
+    for half in range(2):
+        for start, stop in parts:
+            z = draw[:stop - start]
+            rng.standard_normal(out=z)
+            if C is not None:
+                z = np.matmul(C, z, out=mapped[:stop - start])
+            np.square(z, out=z)
+            if half:
+                col[start:stop] += np.einsum("nmk->nk", z,
+                                             out=total[:stop - start])
+            else:
+                np.einsum("nmk->nk", z, out=col[start:stop])
+    amp = workspace("chunk", (rows, k))
+    for start, stop in parts:
+        u2 = amp[:stop - start]
+        rng.random(out=u2)
+        np.square(u2, out=u2)
+        np.einsum("nk,nk->n", u2, col[start:stop], out=power[start:stop])
+        np.einsum("nk->n", u2, out=norm[start:stop])
+
+
+def _vector_power(rng, n, m, k, C, power, norm) -> None:
+    """Vector-mode power and weight norm of n trials, into power and norm.
+
+    The phases are the last draw, so the whole channel is drawn first; every
+    array lives in the workspace.
+    """
+    z = workspace("channel", (2, n, m, k))
+    rng.standard_normal(out=z)
+    u = workspace("u", (n, k))
+    rng.random(out=u)
+    u2 = workspace("u2", (n, k))
+    np.multiply(u, u, out=u2)
+    np.einsum("nk->n", u2, out=norm)
+    theta = workspace("theta", (n, k))
+    rng.random(out=theta)
+    theta *= 2.0 * np.pi
+    uc = np.cos(theta, out=workspace("uc", (n, k)))
+    uc *= u
+    us = np.sin(theta, out=workspace("us", (n, k)))
+    us *= u
+    zr, zi = z
+    yr = np.einsum("nmk,nk->nm", zr, uc, out=workspace("yr", (n, m)))
+    t = np.einsum("nmk,nk->nm", zi, us, out=workspace("t", (n, m)))
+    yr -= t
+    yi = np.einsum("nmk,nk->nm", zr, us, out=workspace("yi", (n, m)))
+    yi += np.einsum("nmk,nk->nm", zi, uc, out=t)
+    if C is not None:  # C (H v) == (C H) v, rotating the three (n, m) buffers
+        yr, t = np.matmul(yr, C.T, out=t), yr
+        yi, t = np.matmul(yi, C.T, out=t), yi
+    np.multiply(yr, yr, out=yr)
+    yr += np.multiply(yi, yi, out=yi)
+    _sum_axis1(yr, power)
 
 
 def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
                 gain_mode: str, C: Optional[np.ndarray] = None) -> np.ndarray:
-    """Channel gains of n trials drawn from rng.
+    """Channel gains of n trials drawn from rng, as a new array.
 
-    Draw order: the channel's real and imaginary parts as one
-    ``standard_normal((2, n, m, k))`` (the same stream as two (n, m, k)
-    draws, real parts first), the amplitudes ``u = random((n, k))``, and
-    in vector mode only the phases ``theta = 2*pi*random((n, k))``.  The
-    phases are the last draw, so frobenius mode skips them without moving
-    any other number.
+    Draw order: the channel's real parts, then its imaginary parts, as
+    ``(n, m, k)`` standard normals each, the amplitudes ``u = random((n,
+    k))``, and in vector mode only the phases ``theta = 2*pi*random((n,
+    k))``.  The phases are the last draw, so frobenius mode skips them
+    without moving any other number.  Each draw may be made in chunks of
+    whole trials into this thread's workspace: that is the same stream.
 
     The model is H = (re + j*im) / sqrt(2), optionally mapped to C @ H,
     and weights a = u / ||u|| with phases theta.  ``frobenius`` gives
@@ -122,26 +193,14 @@ def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
     Both are evaluated in real arithmetic as a power over 2 * sum_k u_k^2,
     which folds in the 1/sqrt(2) channel scale and the weight normalization.
     """
-    z = rng.standard_normal((2, n, m, k))
-    u = rng.random((n, k))
-    u2 = u * u
+    power = workspace("power", (n,))
+    norm = workspace("norm", (n,))
     if gain_mode == "vector":
-        theta = rng.random((n, k)) * (2.0 * np.pi)
-        uc = u * np.cos(theta)
-        us = u * np.sin(theta)
-        zr, zi = z
-        yr = np.einsum("nmk,nk->nm", zr, uc) - np.einsum("nmk,nk->nm", zi, us)
-        yi = np.einsum("nmk,nk->nm", zr, us) + np.einsum("nmk,nk->nm", zi, uc)
-        if C is not None:  # C (H v) == (C H) v
-            yr, yi = yr @ C.T, yi @ C.T
-        power = _sum_axis1(yr * yr + yi * yi)
+        _vector_power(rng, n, m, k, C, power, norm)
     else:
-        if C is not None:
-            z = np.matmul(C, z)
-        np.square(z, out=z)
-        z[0] += z[1]
-        power = np.einsum("nk,nk->n", u2, _sum_axis1(z[0]))
-    return power / (2.0 * np.einsum("nk->n", u2))
+        _frobenius_power(rng, n, m, k, C, power, norm)
+    norm *= 2.0
+    return power / norm
 
 
 def _count_block_factory(cfg: OutageConfig, tau: float):

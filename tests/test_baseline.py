@@ -149,3 +149,26 @@ def test_mimo_config_rejects_non_integer_trials(trials):
 def test_mimo_config_rejects_negative_seed(seed):
     with pytest.raises(ValueError, match="nonnegative integers"):
         MimoConfig(seed=seed)
+
+
+def gap_thresholds(values, count=9):
+    """About count thresholds halfway between neighbouring values, and one
+    below and one above them all: none lies on a value, even for tiny n."""
+    s = np.sort(values)
+    gaps = np.concatenate([[s[0] / 2], (s[:-1] + s[1:]) / 2, [2 * s[-1]]])
+    return gaps[::max(1, len(gaps) // count)]
+
+
+# Edges of the chunked draw (chunks of CHUNK // (n_rx*n_tx) trials): one
+# trial, one trial more than a chunk, and a short last chunk, for a square
+# link and for a rank-deficient one, which factors H^H
+@pytest.mark.parametrize("n", [1, 3641, 8192])
+@pytest.mark.parametrize("n_rx, n_tx", [(3, 3), (4, 2)])
+def test_block_capacities_chunk_edges(n_rx, n_tx, n):
+    seed = (n_rx, n_tx, n, 5)
+    ref = _reference_capacities(np.random.default_rng(seed), n, n_rx, n_tx,
+                                5.0)
+    got = block_capacities(np.random.default_rng(seed), n, n_rx, n_tx, 5.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    for r_tr in gap_thresholds(ref):
+        assert np.count_nonzero(got < r_tr) == np.count_nonzero(ref < r_tr)

@@ -1,0 +1,178 @@
+"""The block scheduler's contract and the block kernels' per-thread workspace.
+
+A kernel's result must not depend on what its thread's workspace held
+before, must be a new array, and a warm call must allocate little more than
+that array.
+"""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from coopbeam import baseline, outage
+from coopbeam._blocks import parallel_count
+from coopbeam.baseline import MimoConfig, block_capacities, mimo_outage
+from coopbeam.channel import exponential_correlation
+from coopbeam.harness import (
+    ExperimentConfig,
+    run_alpha_sweep,
+    run_corr_sweep,
+    run_single_point,
+    run_snr_sweep,
+)
+from coopbeam.outage import OutageConfig, block_gains, monte_carlo_outage
+
+C3 = exponential_correlation(3, 0.5).entries
+
+# name -> (kernel, arguments after the generator)
+BLOCKS = {
+    "frobenius-big": (block_gains, (8192, 3, 12, "frobenius", C3)),
+    "frobenius-small": (block_gains, (7, 1, 1, "frobenius")),
+    "vector-big": (block_gains, (8192, 4, 6, "vector", None)),
+    "vector-small": (block_gains, (33, 3, 2, "vector", C3)),
+    "mimo-big": (block_capacities, (8192, 4, 4, 20.0)),
+    "mimo-small": (block_capacities, (5, 3, 2, 2.0)),
+}
+
+
+def _run(name, seed=0):
+    kernel, args = BLOCKS[name]
+    return kernel(np.random.default_rng([seed, len(name)]), *args)
+
+
+def _in_new_thread(fn, *args):
+    """fn(*args) in a thread of its own, so on an empty workspace."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return out[0]
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "vector", "mimo"])
+def test_workspace_reuse_across_shapes_gives_fresh_results(kind):
+    order = [f"{kind}-big", f"{kind}-small", f"{kind}-big",
+             "frobenius-small", "mimo-big", "vector-big", f"{kind}-small"]
+    fresh = {name: _in_new_thread(_run, name) for name in set(order)}
+    results = []
+    for name in order:
+        got = _run(name)
+        assert np.array_equal(got, fresh[name]), name
+        results.append((name, got, got.copy()))
+    for i, (name, got, kept) in enumerate(results):
+        assert np.array_equal(got, kept), f"{name} changed by a later call"
+        for _, other, _ in results[i + 1:]:
+            assert not np.shares_memory(got, other)
+
+
+def test_threads_running_different_shapes_give_serial_results():
+    names = ["frobenius-big", "vector-small", "mimo-big", "frobenius-small"]
+    seeds = range(3)
+    serial = {(name, seed): _run(name, seed) for seed in seeds
+              for name in names}
+    got = {name: [] for name in names}
+    barrier = threading.Barrier(len(names))
+
+    def work(name):
+        barrier.wait(timeout=60)
+        for _ in range(4):
+            got[name].extend((seed, _run(name, seed)) for seed in seeds)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(name,))
+                   for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for name in names:
+        assert len(got[name]) == 4 * len(seeds)
+        for seed, result in got[name]:
+            assert np.array_equal(result, serial[name, seed]), (name, seed)
+
+
+N = 8192
+
+
+@pytest.mark.parametrize("kernel, args", [
+    (block_gains, (N, 3, 12, "frobenius")),
+    (block_gains, (N, 3, 12, "frobenius", C3)),
+    (block_gains, (N, 3, 5, "vector", C3)),
+    (block_capacities, (N, 3, 3, 10.0)),
+], ids=["frobenius", "frobenius-corr", "vector-corr", "mimo3x3"])
+def test_warm_block_allocates_about_its_result(kernel, args):
+    kernel(np.random.default_rng(1), *args)
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = kernel(rng, *args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.shape == (N,)
+    assert peak <= 4 * N * 8
+
+
+# ------------------------------------------------------------------ workers
+
+BAD_WORKERS = [0, -3, True, 1.5, "2", None]
+
+
+@pytest.mark.parametrize("workers", BAD_WORKERS)
+def test_parallel_count_rejects_bad_workers(workers):
+    calls = []
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        parallel_count(lambda b, n: calls.append(b) or 0, 20000, workers)
+    assert calls == []
+
+
+def test_parallel_count_accepts_numpy_integer_workers():
+    assert parallel_count(lambda b, n: n, 20000, np.int64(2)) == 20000
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if any block kernel runs."""
+    def draw(*args):
+        raise AssertionError("a block was drawn")
+    monkeypatch.setattr(outage, "block_gains", draw)
+    monkeypatch.setattr(baseline, "block_capacities", draw)
+
+
+def _sweep_cfg(experiment):
+    return ExperimentConfig(experiment=experiment, alpha_grid=[0.3],
+                            snr_db_grid=[6.0], corr_r_grid=[0.0, 0.5],
+                            trials=3000, seed=5)
+
+
+@pytest.mark.parametrize("workers", [-3, 0, True])
+@pytest.mark.parametrize("runner, experiment", [
+    (run_alpha_sweep, "alpha_sweep"),
+    (run_snr_sweep, "snr_sweep"),
+    (run_corr_sweep, "corr_sweep"),
+    (run_single_point, "single_point"),
+])
+def test_runners_reject_bad_workers_before_drawing(runner, experiment,
+                                                   workers, no_draws):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        runner(_sweep_cfg(experiment), workers=workers)
+
+
+@pytest.mark.parametrize("workers", [-3, 0, True])
+def test_estimators_reject_bad_workers_before_drawing(workers, no_draws):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        monte_carlo_outage(OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0,
+                                        m=3, k=5, trials=100),
+                           workers=workers)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        mimo_outage(MimoConfig(trials=100), workers=workers)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from coopbeam.cli import load_config_file, main, parse_range
@@ -198,3 +200,32 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("fidelity = 11\n")
     rc = main(["alpha-sweep", "--config", str(cfg)])
     assert rc == 2
+
+
+def test_load_config_file_rejects_repeated_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("alpha = 0.3\nalpha_range = 0.5:0.6:0.1\nalpha = 0.7\n")
+    with pytest.raises(ValueError, match=f"{path}:3: repeated key 'alpha'"):
+        load_config_file(str(path))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("alpha = 0.3\nalpha_range = 0.5:0.6:0.1\nalpha = 0.7\n",
+     r":3: repeated key 'alpha'"),
+    ("alpha = 0.3\nalpha_range = 0.5:0.6:0.1\n",
+     "'alpha' and 'alpha_range' conflict"),
+    ("snr_db_range = 2:4:1\nsnr_db = 6\n",
+     "'snr_db_range' and 'snr_db' conflict"),
+], ids=["repeated-key", "alpha-and-range", "snr-and-range"])
+def test_conflicting_config_keys_exit_before_running(text, match, tmp_path,
+                                                     capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "never.csv"
+    rc = main(["alpha-sweep", "--config", str(cfg), "--snr-db", "6",
+               "--trials", "100", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err
+    assert re.search(match, err)
+    assert not out.exists()

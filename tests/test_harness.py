@@ -342,3 +342,19 @@ def test_manifest_reproducibility_fields():
     for key in ("experiment", "trials", "gain_mode", "bound_variant",
                 "snr_db_grid", "alpha_grid"):
         assert f"# {key} = " in joined
+
+
+def test_corr_sweep_builds_each_correlation_matrix_once(monkeypatch):
+    import coopbeam.harness as harness
+    built = []
+
+    def counted(m, r):
+        built.append(r)
+        return exponential_correlation(m, r)
+
+    monkeypatch.setattr(harness, "exponential_correlation", counted)
+    cfg = _cfg(experiment="corr_sweep", alpha_grid=[0.3],
+               snr_db_grid=[4.0, 6.0, 8.0], corr_r_grid=[0.5, 0.0, 0.25],
+               trials=500)
+    assert len(run_corr_sweep(cfg).rows) == 9
+    assert built == [0.0, 0.25, 0.5]

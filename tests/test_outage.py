@@ -426,3 +426,31 @@ def test_block_gains_exact_gamma_distribution(m, gain_mode, k):
         p = regularized_lower_gamma(float(m), float(tau))
         sigma = math.sqrt(n * p * (1.0 - p))
         assert abs(np.count_nonzero(gain < tau) - n * p) <= 5.0 * sigma
+
+
+def gap_thresholds(values, count=9):
+    """About count thresholds halfway between neighbouring values, and one
+    below and one above them all: none lies on a value, even for tiny n."""
+    s = np.sort(values)
+    gaps = np.concatenate([[s[0] / 2], (s[:-1] + s[1:]) / 2, [2 * s[-1]]])
+    return gaps[::max(1, len(gaps) // count)]
+
+
+# Edges of the chunked frobenius draw (chunks of CHUNK // (m*k) trials):
+# one trial, a last chunk shorter than the others, one trial per chunk
+# (m*k above CHUNK), K = 1 over two chunks, and a partial block
+@pytest.mark.parametrize("n, m, k", [
+    (1, 3, 5), (8192, 3, 5), (3, 2, 16385), (20000, 3, 1), (3616, 3, 5),
+], ids=["one-trial", "short-last-chunk", "m*k-above-chunk", "k1",
+        "partial-block"])
+@pytest.mark.parametrize("corr", [False, True], ids=["iid", "exponential"])
+@pytest.mark.parametrize("gain_mode", ["frobenius", "vector"])
+def test_block_gains_chunk_edges(n, m, k, corr, gain_mode):
+    C = exponential_correlation(m, 0.6).entries if corr else None
+    seed = [59, n, m, k]
+    got = block_gains(np.random.default_rng(seed), n, m, k, gain_mode, C)
+    want = _reference_gains(np.random.default_rng(seed), n, m, k,
+                            gain_mode, C)
+    np.testing.assert_allclose(got, want, rtol=GAIN_RTOL, atol=0)
+    for tau in gap_thresholds(want):
+        assert np.count_nonzero(got < tau) == np.count_nonzero(want < tau)
