@@ -1,9 +1,10 @@
-"""Block-deterministic Monte Carlo scheduling.
+"""Block-deterministic Monte Carlo: seeding, channel draws and estimates.
 
 Trials are partitioned into fixed-size blocks; block b of a run draws from
-its own generator seeded by (seed components..., b).  Because every block's
-draws depend only on its index and the reduction is an exact integer sum,
-results are byte-identical no matter how many workers map the blocks.
+its own generator seeded by (seed components..., b) and counts its values
+below a threshold.  Because every block's draws depend only on its index and
+the reduction is an exact integer sum, results are byte-identical no matter
+how many workers map the blocks.
 
 The block kernels keep their per-block arrays in a per-thread workspace of
 float64 buffers (``workspace``), so a warm block allocates no more than its
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +75,53 @@ def workspace(name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+@dataclass(frozen=True)
+class OutageEstimate:
+    probability: float
+    trials: int
+    std_error: float
+    threshold: float
+
+    @classmethod
+    def from_count(cls, count: int, trials: int, threshold: float):
+        """p = count / trials with its binomial standard error."""
+        p = count / trials
+        return cls(p, trials, math.sqrt(p * (1.0 - p) / trials), threshold)
+
+
 def chunks(n: int, row_size: int):
     """(start, stop) of consecutive chunks of the n trials of a block, each
     with at most CHUNK // row_size (and at least one) trials of row_size
     numbers."""
     rows = max(1, CHUNK // row_size)
     return [(start, min(n, start + rows)) for start in range(0, n, rows)]
+
+
+def channel_halves(rng, n: int, shape):
+    """Yield (half, start, stop, z) for a block's channel: half 0 is its real
+    parts, half 1 its imaginary parts, and z the (stop - start, *shape)
+    standard normals of trials start..stop, drawn in chunks of whole trials
+    into this thread's "chunk" buffer and valid until the next item."""
+    parts = chunks(n, math.prod(shape))
+    draw = workspace("chunk", (parts[0][1], *shape))
+    for half in range(2):
+        for start, stop in parts:
+            z = draw[:stop - start]
+            rng.standard_normal(out=z)
+            yield half, start, stop, z
+
+
+def seeded_counter(seed, statistic, threshold: float):
+    """The count_block(b, n) for parallel_count: block b counts the values of
+    statistic(default_rng(seed components + (b,)), n) strictly below
+    threshold."""
+    base = seed_components(seed)
+
+    def count_block(b: int, n: int) -> int:
+        rng = np.random.default_rng(base + (b,))
+        return int(np.count_nonzero(statistic(rng, n) < threshold))
+
+    return count_block
 
 
 def block_sizes(trials: int, block: int = BLOCK_SIZE) -> list[int]:

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import (check_trials, chunks, parallel_count, seed_components,
+from ._blocks import (OutageEstimate, channel_halves, check_trials,
+                      parallel_count, seed_components, seeded_counter,
                       workspace)
-from .outage import OutageEstimate, require_finite
+from .outage import require_finite, required_snr
 
 _LN2 = math.log(2.0)
 
@@ -34,12 +35,10 @@ class MimoConfig:
     def __post_init__(self):
         if self.n_tx < 1 or self.n_rx < 1:
             raise ValueError("antenna counts must be >= 1")
-        require_finite(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2,
-                       r_tr=self.r_tr)
+        require_finite(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
         if self.p_mimo <= 0 or self.sigma_n2 <= 0:
             raise ValueError("p_mimo and sigma_n2 must be positive")
-        if self.r_tr < 0:
-            raise ValueError("r_tr must be nonnegative")
+        required_snr(self.r_tr)
         check_trials(self.trials)
         seed_components(self.seed)
 
@@ -104,20 +103,15 @@ def block_capacities(rng: np.random.Generator, n: int, n_rx: int, n_tx: int,
     """Capacities in bits/s/Hz of n channels drawn from rng, as a new array.
 
     Draw order: the channel's real parts, then its imaginary parts, as
-    ``(n, n_rx, n_tx)`` standard normals each.  They are drawn in chunks of
-    whole trials (the same stream) and copied into this thread's
-    entry-major (2, n_rx, n_tx, n) workspace.  The model is
+    ``(n, n_rx, n_tx)`` standard normals each.  They come from
+    channel_halves and are copied into this thread's entry-major
+    (2, n_rx, n_tx, n) workspace.  The model is
     H = (re + j*im) / sqrt(2), and the capacity is
     log2 det(I + scale * H H^H); the 1/sqrt(2) is folded into scale / 2.
     """
     h = workspace("entries", (2, n_rx, n_tx, n))
-    parts = chunks(n, n_rx * n_tx)
-    draw = workspace("chunk", (parts[0][1], n_rx, n_tx))
-    for half in h:
-        for start, stop in parts:
-            z = draw[:stop - start]
-            rng.standard_normal(out=z)
-            half[..., start:stop] = z.transpose(1, 2, 0)
+    for half, start, stop, z in channel_halves(rng, n, (n_rx, n_tx)):
+        h[half, ..., start:stop] = z.transpose(1, 2, 0)
     return _log_det(h[0], h[1], scale / 2.0) / _LN2
 
 
@@ -131,21 +125,13 @@ def mimo_capacity(H: np.ndarray, p_mimo: float, sigma_n2: float) -> float:
 
 
 def _count_block_factory(cfg: MimoConfig):
-    """Build the per-block outage counter for the block scheduler.
-
-    Block b draws from ``default_rng(seed components + (b,))`` in the
-    order that block_capacities documents, and counts capacities strictly
-    below r_tr.
-    """
-    base = seed_components(cfg.seed)
+    """The seeded_counter of cfg's block capacities (see block_capacities)
+    below r_tr."""
     scale = cfg.p_mimo / (cfg.n_tx * cfg.sigma_n2)
-
-    def count_block(b: int, n: int) -> int:
-        rng = np.random.default_rng(base + (b,))
-        capacity = block_capacities(rng, n, cfg.n_rx, cfg.n_tx, scale)
-        return int(np.count_nonzero(capacity < cfg.r_tr))
-
-    return count_block
+    return seeded_counter(
+        cfg.seed,
+        lambda rng, n: block_capacities(rng, n, cfg.n_rx, cfg.n_tx, scale),
+        cfg.r_tr)
 
 
 def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
@@ -156,7 +142,4 @@ def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
     (a rate, not a gain — the capacity statistic is compared directly).
     """
     count = parallel_count(_count_block_factory(cfg), cfg.trials, workers)
-    p = count / cfg.trials
-    se = math.sqrt(p * (1.0 - p) / cfg.trials)
-    return OutageEstimate(probability=p, trials=cfg.trials,
-                          std_error=se, threshold=cfg.r_tr)
+    return OutageEstimate.from_count(count, cfg.trials, cfg.r_tr)

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._blocks import (check_trials, chunks, parallel_count, seed_components,
+from ._blocks import (OutageEstimate, channel_halves, check_trials, chunks,
+                      parallel_count, seed_components, seeded_counter,
                       workspace)
 from .channel import CorrelationMatrix
 
@@ -72,10 +73,7 @@ class OutageConfig:
     correlation: Optional[CorrelationMatrix] = None
 
     def __post_init__(self):
-        require_finite(r_tr=self.r_tr, p2=self.p2, sigma_n2=self.sigma_n2)
-        required_snr(self.r_tr)
-        if self.p2 <= 0 or self.sigma_n2 <= 0:
-            raise ValueError("p2 and sigma_n2 must be positive")
+        outage_threshold(self.r_tr, self.p2, self.sigma_n2)
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be >= 1")
         check_trials(self.trials)
@@ -84,14 +82,6 @@ class OutageConfig:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.correlation is not None and self.correlation.m != self.m:
             raise ValueError("correlation matrix size must match m")
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    probability: float
-    trials: int
-    std_error: float
-    threshold: float
 
 
 def _sum_axis1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -110,30 +100,23 @@ def _sum_axis1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _frobenius_power(rng, n, m, k, C, power, norm) -> None:
     """Frobenius-mode power and weight norm of n trials, into power and norm.
 
-    Streams the channel through chunk buffers: each half (real, then
-    imaginary) is drawn in chunks of whole trials, mapped by C, squared and
-    summed over antennas into an (n, k) accumulator, so a column's norm is
-    sum_m re^2 + sum_m im^2.  The amplitudes follow in chunks as well.
+    Streams the channel's chunks from channel_halves: each is mapped by C,
+    squared and summed over antennas into an (n, k) accumulator, so a
+    column's norm is sum_m re^2 + sum_m im^2.  The amplitudes follow in
+    chunks as well.
     """
     col = workspace("col", (n, k))
+    for half, start, stop, z in channel_halves(rng, n, (m, k)):
+        if C is not None:
+            z = np.matmul(C, z, out=workspace("mapped", z.shape))
+        np.square(z, out=z)
+        if half:
+            col[start:stop] += np.einsum(
+                "nmk->nk", z, out=workspace("total", (stop - start, k)))
+        else:
+            np.einsum("nmk->nk", z, out=col[start:stop])
     parts = chunks(n, m * k)
-    rows = parts[0][1]
-    draw = workspace("chunk", (rows, m, k))
-    mapped = workspace("mapped", (rows, m, k)) if C is not None else None
-    total = workspace("total", (rows, k))
-    for half in range(2):
-        for start, stop in parts:
-            z = draw[:stop - start]
-            rng.standard_normal(out=z)
-            if C is not None:
-                z = np.matmul(C, z, out=mapped[:stop - start])
-            np.square(z, out=z)
-            if half:
-                col[start:stop] += np.einsum("nmk->nk", z,
-                                             out=total[:stop - start])
-            else:
-                np.einsum("nmk->nk", z, out=col[start:stop])
-    amp = workspace("chunk", (rows, k))
+    amp = workspace("chunk", (parts[0][1], k))
     for start, stop in parts:
         u2 = amp[:stop - start]
         rng.random(out=u2)
@@ -204,20 +187,12 @@ def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
 
 
 def _count_block_factory(cfg: OutageConfig, tau: float):
-    """Build the per-block outage counter for the block scheduler.
-
-    Block b draws from ``default_rng(seed components + (b,))`` in the
-    order that block_gains documents, and counts gains strictly below tau.
-    """
-    base = seed_components(cfg.seed)
+    """The seeded_counter of cfg's block gains (see block_gains) below tau."""
     C = None if cfg.correlation is None else cfg.correlation.entries
-
-    def count_block(b: int, n: int) -> int:
-        rng = np.random.default_rng(base + (b,))
-        gain = block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C)
-        return int(np.count_nonzero(gain < tau))
-
-    return count_block
+    return seeded_counter(
+        cfg.seed,
+        lambda rng, n: block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C),
+        tau)
 
 
 def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
@@ -230,10 +205,7 @@ def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
     """
     tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
     count = parallel_count(_count_block_factory(cfg, tau), cfg.trials, workers)
-    p = count / cfg.trials
-    se = math.sqrt(p * (1.0 - p) / cfg.trials)
-    return OutageEstimate(probability=p, trials=cfg.trials,
-                          std_error=se, threshold=tau)
+    return OutageEstimate.from_count(count, cfg.trials, tau)
 
 
 def _not_converged(s: float, x: float) -> ArithmeticError:
