@@ -25,6 +25,9 @@ BLOCK_SIZE = 8192
 CHUNK = 1 << 15
 
 _workspace = threading.local()
+# workers -> the process's ThreadPoolExecutor of that many threads
+_pools: dict = {}
+_pools_lock = threading.Lock()
 
 
 def _is_int(value) -> bool:
@@ -46,18 +49,12 @@ def seed_components(seed) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
-def check_trials(trials) -> None:
-    """Raise ValueError unless trials is an integer >= 1 (bool excluded)."""
-    if not _is_int(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-
-def check_workers(workers) -> None:
-    """Raise ValueError unless workers is an integer >= 1 (bool excluded)."""
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+def require_positive_int(**values) -> None:
+    """Raise ValueError naming the first keyword value that is not an
+    integer >= 1 (bool excluded, numpy integers accepted)."""
+    for name, value in values.items():
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def workspace(name: str, shape) -> np.ndarray:
@@ -132,6 +129,15 @@ def block_sizes(trials: int, block: int = BLOCK_SIZE) -> list[int]:
     return sizes
 
 
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads, made on first use, so that
+    worker threads and their workspaces last from one point to the next."""
+    with _pools_lock:
+        if workers not in _pools:
+            _pools[workers] = ThreadPoolExecutor(max_workers=workers)
+        return _pools[workers]
+
+
 def parallel_count(count_block, trials: int, workers: int = 1,
                    block: int = BLOCK_SIZE) -> int:
     """Sum count_block(index, size) over the block partition of `trials`.
@@ -140,10 +146,8 @@ def parallel_count(count_block, trials: int, workers: int = 1,
     from the block index), so the total is independent of scheduling.
     Raises ValueError unless workers is an integer >= 1.
     """
-    check_workers(workers)
+    require_positive_int(workers=workers)
     sizes = block_sizes(trials, block)
     if workers == 1 or len(sizes) == 1:
         return sum(count_block(b, n) for b, n in enumerate(sizes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = pool.map(count_block, range(len(sizes)), sizes)
-        return sum(counts)
+    return sum(_pool(workers).map(count_block, range(len(sizes)), sizes))

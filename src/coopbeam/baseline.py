@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import (OutageEstimate, channel_halves, check_trials,
-                      parallel_count, seed_components, seeded_counter,
+from ._blocks import (OutageEstimate, channel_halves, parallel_count,
+                      require_positive_int, seed_components, seeded_counter,
                       workspace)
 from .outage import require_finite, required_snr
 
@@ -33,13 +33,12 @@ class MimoConfig:
     seed: object = 0
 
     def __post_init__(self):
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ValueError("antenna counts must be >= 1")
+        require_positive_int(n_tx=self.n_tx, n_rx=self.n_rx,
+                             trials=self.trials)
         require_finite(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
         if self.p_mimo <= 0 or self.sigma_n2 <= 0:
             raise ValueError("p_mimo and sigma_n2 must be positive")
         required_snr(self.r_tr)
-        check_trials(self.trials)
         seed_components(self.seed)
 
 

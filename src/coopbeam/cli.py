@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 
-from ._blocks import check_workers
+from ._blocks import require_positive_int
 from .harness import (
     ExperimentConfig,
     format_report,
@@ -151,6 +151,18 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1, true, yes, 0, false or no, "
+                         f"got {text!r}") from None
+
+
 # config-file key -> (dest of its flag, parser); every dest but workers is
 # the ExperimentConfig field it sets
 _CONFIG_KEYS = {
@@ -165,8 +177,7 @@ _CONFIG_KEYS = {
     "snr_db": ("snr_db_grid", _floats),
     "snr_db_range": ("snr_db_grid", parse_range),
     "corr": ("corr_r_grid", _floats),
-    "no_baseline": ("include_baseline",
-                    lambda s: s.lower() not in ("1", "true", "yes")),
+    "no_baseline": ("include_baseline", lambda s: not _boolean(s)),
 }
 
 
@@ -174,7 +185,8 @@ def _merge(args: argparse.Namespace) -> dict:
     """File values first, then any flag that was actually given.
 
     Two file keys that fill one destination, such as alpha and alpha_range,
-    raise ValueError, as their flags would.
+    raise ValueError, as their flags would, and so does a value its key
+    cannot parse; the message names the file and the key.
     """
     merged: dict = {}
     if args.config:
@@ -187,7 +199,10 @@ def _merge(args: argparse.Namespace) -> dict:
                 raise ValueError(f"{args.config}: config keys "
                                  f"{source[dest]!r} and {key!r} conflict")
             source[dest] = key
-            merged[dest] = parse(raw)
+            try:
+                merged[dest] = parse(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
     for dest, _ in _CONFIG_KEYS.values():
         flag = getattr(args, dest, None)
         if flag is not None:
@@ -203,7 +218,7 @@ def main(argv=None) -> int:
     try:
         merged = _merge(args)
         workers = merged.pop("workers", 1)
-        check_workers(workers)
+        require_positive_int(workers=workers)
         if experiment == "single_point":
             if "alpha_grid" not in merged:
                 raise ValueError("point requires --alpha")

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from ._blocks import BLOCK_SIZE, check_trials, seed_components
+from ._blocks import BLOCK_SIZE, require_positive_int, seed_components
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 from .channel import exponential_correlation
@@ -66,7 +67,9 @@ class ExperimentConfig:
     Grids left as None take the experiment's defaults: the alpha sweep scans
     alpha 0.2..0.8 step 0.05 over SNR 2..12 dB; the SNR sweep compares the
     alpha = 0.3 and 0.4 allocations (plus the MIMO baseline); the
-    correlation sweep holds alpha = 0.3 and scans r in {0, 0.25, 0.5, 0.75}.
+    correlation sweep holds one alpha (default 0.3) and scans r in
+    {0, 0.25, 0.5, 0.75}.  output_path must be a file in a directory that
+    exists.
     """
 
     experiment: str
@@ -89,8 +92,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        require_positive_int(m=self.m, trials=self.trials)
         require_finite(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
                        r_tr=self.r_tr, p_total=self.p_total,
                        sigma_nbr2=self.sigma_nbr2)
@@ -99,12 +101,19 @@ class ExperimentConfig:
         if self.r_br <= 0:
             raise ValueError("r_br must be positive")
         required_snr(self.r_tr)
-        check_trials(self.trials)
         seed_components((self.seed,))  # the master seed is one integer
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.bound_variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown bound variant {self.bound_variant!r}")
+        if self.output_path:
+            if os.path.isdir(self.output_path):
+                raise ValueError(
+                    f"output path {self.output_path!r} is a directory")
+            if not os.path.isdir(
+                    os.path.dirname(os.path.abspath(self.output_path))):
+                raise ValueError(f"output directory of "
+                                 f"{self.output_path!r} does not exist")
         object.__setattr__(self, "alpha_grid",
                            self._grid(self.alpha_grid, self._default_alphas()))
         object.__setattr__(self, "snr_db_grid",
@@ -116,6 +125,8 @@ class ExperimentConfig:
                 raise ValueError(
                     "single_point needs exactly one alpha and one snr_db"
                 )
+        if self.experiment == "corr_sweep" and len(self.alpha_grid) != 1:
+            raise ValueError("corr_sweep needs exactly one alpha")
         for alpha in self.alpha_grid:
             if not 0.0 < alpha < 1.0:
                 raise ValueError(f"alpha {alpha} outside (0, 1)")
@@ -394,7 +405,7 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     start = _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
-    alpha = sorted(cfg.alpha_grid)[0]
+    alpha = cfg.alpha_grid[0]
     corr = [(r, exponential_correlation(cfg.m, r))
             for r in sorted(cfg.corr_r_grid)]
     rows = []

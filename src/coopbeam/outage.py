@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._blocks import (OutageEstimate, channel_halves, check_trials, chunks,
-                      parallel_count, seed_components, seeded_counter,
+from ._blocks import (OutageEstimate, channel_halves, chunks, parallel_count,
+                      require_positive_int, seed_components, seeded_counter,
                       workspace)
 from .channel import CorrelationMatrix
 
@@ -74,9 +74,7 @@ class OutageConfig:
 
     def __post_init__(self):
         outage_threshold(self.r_tr, self.p2, self.sigma_n2)
-        if self.m < 1 or self.k < 1:
-            raise ValueError("m and k must be >= 1")
-        check_trials(self.trials)
+        require_positive_int(m=self.m, k=self.k, trials=self.trials)
         seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")

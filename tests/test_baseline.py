@@ -172,3 +172,22 @@ def test_block_capacities_chunk_edges(n_rx, n_tx, n):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     for r_tr in gap_thresholds(ref):
         assert np.count_nonzero(got < r_tr) == np.count_nonzero(ref < r_tr)
+
+
+@pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])
+def test_mimo_config_rejects_overflowing_rate(r_tr):
+    with pytest.raises(ValueError, match="r_tr .* too large"):
+        MimoConfig(r_tr=r_tr)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", 0])
+@pytest.mark.parametrize("field", ["n_tx", "n_rx"])
+def test_mimo_config_rejects_non_integer_antenna_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        MimoConfig(**{field: value})
+
+
+def test_mimo_config_accepts_numpy_integer_antenna_counts():
+    cfg = MimoConfig(n_tx=np.int64(2), n_rx=np.int32(3), trials=500)
+    assert mimo_outage(cfg) == mimo_outage(MimoConfig(n_tx=2, n_rx=3,
+                                                      trials=500))

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coopbeam import baseline, outage
+from coopbeam import _blocks
 from coopbeam._blocks import parallel_count
 from coopbeam.baseline import MimoConfig, block_capacities, mimo_outage
 from coopbeam.channel import exponential_correlation
@@ -140,15 +140,6 @@ def test_parallel_count_accepts_numpy_integer_workers():
     assert parallel_count(lambda b, n: n, 20000, np.int64(2)) == 20000
 
 
-@pytest.fixture
-def no_draws(monkeypatch):
-    """Fail the test if any block kernel runs."""
-    def draw(*args):
-        raise AssertionError("a block was drawn")
-    monkeypatch.setattr(outage, "block_gains", draw)
-    monkeypatch.setattr(baseline, "block_capacities", draw)
-
-
 def _sweep_cfg(experiment):
     return ExperimentConfig(experiment=experiment, alpha_grid=[0.3],
                             snr_db_grid=[6.0], corr_r_grid=[0.0, 0.5],
@@ -176,3 +167,30 @@ def test_estimators_reject_bad_workers_before_drawing(workers, no_draws):
                            workers=workers)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         mimo_outage(MimoConfig(trials=100), workers=workers)
+
+
+class _CountingNumpy:
+    """numpy, with a count of the np.empty calls that make new buffers."""
+
+    def __init__(self):
+        self.empties = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.empties += 1
+        return np.empty(*args, **kwargs)
+
+
+def test_worker_threads_keep_their_workspace_from_point_to_point(monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(_blocks, "np", counting)
+    cfg = ExperimentConfig(experiment="alpha_sweep", alpha_grid=[0.3],
+                           snr_db_grid=[2.0, 4.0, 6.0, 8.0, 10.0, 12.0],
+                           trials=4 * 8192, seed=3)
+    res = run_alpha_sweep(cfg, workers=2)
+    assert len(res.rows) == 6
+    # two threads, each with at most five buffers: col, chunk, total,
+    # power and norm
+    assert counting.empties <= 10

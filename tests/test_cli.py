@@ -229,3 +229,62 @@ def test_conflicting_config_keys_exit_before_running(text, match, tmp_path,
     assert str(cfg) in err
     assert re.search(match, err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["alpha-sweep", "--out", "{missing}/a.csv"], "does not exist"),
+    (["point", "--alpha", "0.4", "--snr-db", "4", "--out", "{missing}/p.txt"],
+     "does not exist"),
+    (["corr-sweep"], "does not exist"),
+    (["snr-sweep", "--out", "{tmp}"], "is a directory"),
+], ids=["sweep-out", "point-out", "outdir-default", "out-is-directory"])
+def test_bad_output_path_exits_before_any_draw(argv, message, tmp_path,
+                                               monkeypatch, capsys, no_draws):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("COOPBEAM_OUTDIR", str(missing))
+    rc = main([arg.format(missing=missing, tmp=tmp_path) for arg in argv])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_corr_sweep_with_two_alphas_exits_before_any_draw(tmp_path, capsys,
+                                                          no_draws):
+    out = tmp_path / "never.csv"
+    rc = main(["corr-sweep", "--alpha", "0.3", "--alpha", "0.5",
+               "--out", str(out)])
+    assert rc == 2
+    assert "corr_sweep needs exactly one alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, include", [
+    ("YES", 0), ("True", 0), ("1", 0), ("No", 1), ("false", 1),
+])
+def test_no_baseline_config_key_in_any_case(value, include, tmp_path,
+                                            capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"no_baseline = {value}\n")
+    out = tmp_path / "s.csv"
+    rc = main(["snr-sweep", "--config", str(cfg), "--snr-db", "5",
+               "--trials", "500", "--out", str(out)])
+    assert rc == 0
+    assert f"# include_baseline = {include}" in out.read_text()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("no_baseline = banana\n", "no_baseline"),
+    ("no_baseline =\n", "no_baseline"),
+    ("alpha_range = 0.5:0.2:0.1\n", "alpha_range"),
+    ("trials = many\n", "trials"),
+], ids=["banana", "empty", "bad-range", "bad-int"])
+def test_unparsable_config_value_exits_naming_file_and_key(text, key,
+                                                           tmp_path, capsys,
+                                                           no_draws):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "never.csv"
+    rc = main(["snr-sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"{cfg}: {key}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -358,3 +358,35 @@ def test_corr_sweep_builds_each_correlation_matrix_once(monkeypatch):
                trials=500)
     assert len(run_corr_sweep(cfg).rows) == 9
     assert built == [0.0, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3", 0])
+def test_config_rejects_non_integer_m(m):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        ExperimentConfig(experiment="alpha_sweep", m=m)
+
+
+def test_config_accepts_numpy_integer_m():
+    texts = [run_alpha_sweep(_cfg(experiment="alpha_sweep", alpha_grid=[0.3],
+                                  snr_db_grid=[6.0], trials=1000, m=m)
+                             ).csv_text
+             for m in (3, np.int64(3))]
+    assert texts[0] == texts[1]
+
+
+def test_config_rejects_output_path_in_missing_directory(tmp_path):
+    with pytest.raises(ValueError, match="does not exist"):
+        ExperimentConfig(experiment="alpha_sweep",
+                         output_path=str(tmp_path / "missing" / "a.csv"))
+    with pytest.raises(ValueError, match="is a directory"):
+        ExperimentConfig(experiment="alpha_sweep", output_path=str(tmp_path))
+    for path in (str(tmp_path / "a.csv"), "a.csv"):
+        assert ExperimentConfig(experiment="alpha_sweep",
+                                output_path=path).output_path == path
+
+
+def test_corr_sweep_config_takes_one_alpha():
+    with pytest.raises(ValueError, match="corr_sweep needs exactly one alpha"):
+        ExperimentConfig(experiment="corr_sweep", alpha_grid=[0.3, 0.5])
+    cfg = ExperimentConfig(experiment="corr_sweep", alpha_grid=[0.5])
+    assert cfg.alpha_grid == (0.5,)

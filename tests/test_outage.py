@@ -454,3 +454,15 @@ def test_block_gains_chunk_edges(n, m, k, corr, gain_mode):
     np.testing.assert_allclose(got, want, rtol=GAIN_RTOL, atol=0)
     for tau in gap_thresholds(want):
         assert np.count_nonzero(got < tau) == np.count_nonzero(want < tau)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", 0, -1])
+@pytest.mark.parametrize("field", ["m", "k"])
+def test_mc_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        OutageConfig(**{**_MC_KW, field: value})
+
+
+def test_mc_config_accepts_numpy_integer_sizes():
+    cfg = OutageConfig(**{**_MC_KW, "m": np.int64(3), "k": np.int32(5)})
+    assert monte_carlo_outage(cfg) == monte_carlo_outage(OutageConfig(**_MC_KW))
