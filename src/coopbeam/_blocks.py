@@ -57,6 +57,22 @@ def require_positive_int(**values) -> None:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first keyword value that is NaN or inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_positive(**values) -> None:
+    """require_finite, then raise ValueError naming the first keyword value
+    that is not > 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def workspace(name: str, shape) -> np.ndarray:
     """A C-contiguous float64 array of `shape` from this thread's workspace.
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import (OutageEstimate, channel_halves, parallel_count,
-                      require_positive_int, seed_components, seeded_counter,
-                      workspace)
-from .outage import require_finite, required_snr
+                      require_positive, require_positive_int, seed_components,
+                      seeded_counter, workspace)
+from .outage import required_snr
 
 _LN2 = math.log(2.0)
 
@@ -35,9 +35,7 @@ class MimoConfig:
     def __post_init__(self):
         require_positive_int(n_tx=self.n_tx, n_rx=self.n_rx,
                              trials=self.trials)
-        require_finite(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
-        if self.p_mimo <= 0 or self.sigma_n2 <= 0:
-            raise ValueError("p_mimo and sigma_n2 must be positive")
+        require_positive(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
         required_snr(self.r_tr)
         seed_components(self.seed)
 

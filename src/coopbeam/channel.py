@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blocks import require_positive_int
+
 # Relative tolerance of the symmetry and positive-semidefiniteness checks:
 # rounding in a computed matrix stays far below it.
 _PSD_RTOL = 1e-12
@@ -52,8 +54,7 @@ def exponential_correlation(m: int, r: float) -> CorrelationMatrix:
     Positive semidefinite for 0 <= r < 1 by construction; r = 0 gives the
     identity (uncorrelated antennas).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    require_positive_int(m=m)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     idx = np.arange(m)

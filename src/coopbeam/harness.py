@@ -28,7 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from ._blocks import BLOCK_SIZE, require_positive_int, seed_components
+from ._blocks import (BLOCK_SIZE, require_positive, require_positive_int,
+                      seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 from .channel import exponential_correlation
@@ -39,7 +40,6 @@ from .outage import (
     OutageEstimate,
     analytical_outage,
     monte_carlo_outage,
-    require_finite,
     required_snr,
 )
 from .powerplan import (
@@ -93,13 +93,8 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         require_positive_int(m=self.m, trials=self.trials)
-        require_finite(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
-                       r_tr=self.r_tr, p_total=self.p_total,
-                       sigma_nbr2=self.sigma_nbr2)
-        if self.ratio_ptotal_ps <= 0 or self.p_total <= 0 or self.sigma_nbr2 <= 0:
-            raise ValueError("powers and ratios must be positive")
-        if self.r_br <= 0:
-            raise ValueError("r_br must be positive")
+        require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
+                         p_total=self.p_total, sigma_nbr2=self.sigma_nbr2)
         required_snr(self.r_tr)
         seed_components((self.seed,))  # the master seed is one integer
         if self.gain_mode not in GAIN_MODES:

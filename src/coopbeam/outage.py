@@ -9,8 +9,8 @@ from typing import Optional
 import numpy as np
 
 from ._blocks import (OutageEstimate, channel_halves, chunks, parallel_count,
-                      require_positive_int, seed_components, seeded_counter,
-                      workspace)
+                      require_finite, require_positive, require_positive_int,
+                      seed_components, seeded_counter, workspace)
 from .channel import CorrelationMatrix
 
 BOUND_VARIANTS = ("printed", "complex_convention")
@@ -21,13 +21,6 @@ _GAMMA_ITMAX = 1000
 # lgamma(s) comes from its Stirling series from this s on, where the first
 # omitted term, 1/(1680 s^7), is below 1e-15
 _STIRLING_MIN_S = 50.0
-
-
-def require_finite(**values) -> None:
-    """Raise ValueError naming the first keyword value that is NaN or inf."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def required_snr(r_tr: float) -> float:
@@ -52,10 +45,9 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     tau = (2^r_tr - 1) * sigma_n2 / p2: outage occurs when the channel gain
     falls strictly below tau.
     """
-    require_finite(r_tr=r_tr, p2=p2, sigma_n2=sigma_n2)
-    if p2 <= 0 or sigma_n2 <= 0:
-        raise ValueError("p2 and sigma_n2 must be positive")
-    return required_snr(r_tr) * sigma_n2 / p2
+    snr = required_snr(r_tr)
+    require_positive(p2=p2, sigma_n2=sigma_n2)
+    return snr * sigma_n2 / p2
 
 
 @dataclass(frozen=True)
@@ -235,8 +227,8 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     [0, 100].  Raises ArithmeticError when either does not converge within
     _GAMMA_ITMAX terms, as for large s with x near s.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    require_positive(s=s)
+    require_finite(x=x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
@@ -291,8 +283,7 @@ def analytical_outage(m: int, k: int, r_tr: float, p2: float, sigma_n2: float,
     1/2 each.  Both are reported by the experiment harness so they can be
     compared against Monte Carlo.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be >= 1")
+    require_positive_int(m=m, k=k)
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
     tau = outage_threshold(r_tr, p2, sigma_n2)

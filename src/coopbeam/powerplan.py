@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._blocks import require_positive, require_positive_int
+
 
 class InfeasibleAllocationError(ValueError):
     """Raised when a power allocation cannot satisfy the broadcast bound."""
@@ -34,14 +36,13 @@ class BroadcastSpec:
     p_s: float = 4.0
 
     def __post_init__(self):
-        if self.r_br <= 0 or self.sigma_nbr2 <= 0 or self.p_s <= 0:
-            raise ValueError("r_br, sigma_nbr2 and p_s must all be positive")
+        require_positive(r_br=self.r_br, sigma_nbr2=self.sigma_nbr2,
+                         p_s=self.p_s)
 
 
 def split(p_total: float, alpha: float) -> PowerAllocation:
     """Split p_total into phase powers p1 = alpha*p_total, p2 = rest."""
-    if p_total <= 0:
-        raise ValueError("p_total must be positive")
+    require_positive(p_total=p_total)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     p1 = alpha * p_total
@@ -63,8 +64,7 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if p_total <= 0 or p_s <= 0:
-        raise ValueError("p_total and p_s must be positive")
+    require_positive(p_total=p_total, p_s=p_s)
     raw = alpha * p_total / p_s
     k = math.floor(raw + 0.5)
     if k < 1:
@@ -76,8 +76,7 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
 
 def broadcast_power_bound(k: int, spec: BroadcastSpec) -> float:
     """Minimum broadcast-phase power: K * (2^r_br - 1) * sigma_nbr2."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_positive_int(k=k)
     return k * (2.0 ** spec.r_br - 1.0) * spec.sigma_nbr2
 
 
