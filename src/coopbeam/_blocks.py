@@ -14,6 +14,7 @@ result and the heap does not change size from one block to the next.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ BLOCK_SIZE = 8192
 CHUNK = 1 << 15
 
 _workspace = threading.local()
-# workers -> the process's ThreadPoolExecutor of that many threads
+# threads -> the process's ThreadPoolExecutor of that many threads
 _pools: dict = {}
 _pools_lock = threading.Lock()
 
@@ -137,33 +138,41 @@ def seeded_counter(seed, statistic, threshold: float):
     return count_block
 
 
-def block_sizes(trials: int, block: int = BLOCK_SIZE) -> list[int]:
-    full, rem = divmod(trials, block)
-    sizes = [block] * full
+def block_sizes(trials: int) -> list[int]:
+    full, rem = divmod(trials, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full
     if rem:
         sizes.append(rem)
     return sizes
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` threads, made on first use, so that
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of `threads` threads, made on first use, so that
     worker threads and their workspaces last from one point to the next."""
     with _pools_lock:
-        if workers not in _pools:
-            _pools[workers] = ThreadPoolExecutor(max_workers=workers)
-        return _pools[workers]
+        if threads not in _pools:
+            _pools[threads] = ThreadPoolExecutor(max_workers=threads)
+        return _pools[threads]
 
 
-def parallel_count(count_block, trials: int, workers: int = 1,
-                   block: int = BLOCK_SIZE) -> int:
+def parallel_count(count_block, trials: int, workers: int = 1) -> int:
     """Sum count_block(index, size) over the block partition of `trials`.
 
     count_block must depend only on its arguments (it builds its own RNG
-    from the block index), so the total is independent of scheduling.
-    Raises ValueError unless workers is an integer >= 1.
+    from the block index), so the total is independent of scheduling.  The
+    blocks run on min(workers, blocks, CPUs available) threads.  Raises
+    ValueError unless workers is an integer >= 1.
     """
     require_positive_int(workers=workers)
-    sizes = block_sizes(trials, block)
-    if workers == 1 or len(sizes) == 1:
+    sizes = block_sizes(trials)
+    threads = min(workers, len(sizes), _cpus())
+    if threads <= 1:
         return sum(count_block(b, n) for b, n in enumerate(sizes))
-    return sum(_pool(workers).map(count_block, range(len(sizes)), sizes))
+    return sum(_pool(threads).map(count_block, range(len(sizes)), sizes))

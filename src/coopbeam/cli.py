@@ -15,10 +15,11 @@ COOPBEAM_OUTDIR supplies the default output directory only.  Exit status is
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-from ._blocks import require_positive_int
+from ._blocks import require_finite, require_positive_int
 from .harness import (
     ExperimentConfig,
     format_report,
@@ -28,6 +29,7 @@ from .harness import (
     run_single_point,
     run_snr_sweep,
 )
+from .outage import BOUND_VARIANTS, GAIN_MODES
 
 _RUNNERS = {
     "alpha_sweep": run_alpha_sweep,
@@ -37,23 +39,35 @@ _RUNNERS = {
 
 OUTDIR_ENV = "COOPBEAM_OUTDIR"
 
+# Most values one lo:hi:step range may give.  The largest axis in the README
+# or the benchmark has 19, so a range of over 1000 is a mistake (a step in
+# the wrong unit, say); the cap rejects it before a huge list is built.
+MAX_RANGE_VALUES = 1000
+
 
 def parse_range(text: str) -> list[float]:
-    """Parse an inclusive lo:hi:step grid specification."""
+    """Parse an inclusive lo:hi:step grid specification.
+
+    lo, hi and step must be finite, with step > 0, hi >= lo and at most
+    MAX_RANGE_VALUES values in the grid.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi:step, got {text!r}"
         )
     lo, hi, step = (float(p) for p in parts)
+    try:
+        require_finite(lo=lo, hi=hi, step=step)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"range {text!r}: {exc}") from None
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    values = []
-    v = lo
-    while v <= hi + step * 1e-9:
-        values.append(round(v, 10))
-        v += step
-    return values
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} gives more than {MAX_RANGE_VALUES} values")
+    return [round(lo + i * step, 10) for i in range(math.floor(span) + 1)]
 
 
 def load_config_file(path: str) -> dict:
@@ -93,10 +107,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="broadcast-channel noise variance")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--gain-mode", choices=("frobenius", "vector"),
-                        default=None)
-    parser.add_argument("--bound-variant",
-                        choices=("printed", "complex_convention"),
+    parser.add_argument("--gain-mode", choices=GAIN_MODES, default=None)
+    parser.add_argument("--bound-variant", choices=BOUND_VARIANTS,
                         default=None)
     parser.add_argument("--workers", type=int, default=None,
                         help="Monte Carlo worker threads (results identical "

@@ -140,6 +140,56 @@ def test_parallel_count_accepts_numpy_integer_workers():
     assert parallel_count(lambda b, n: n, 20000, np.int64(2)) == 20000
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Sizes of the pools parallel_count makes, through a ThreadPoolExecutor
+    stand-in that maps in the calling thread and starts no thread."""
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(_blocks, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(_blocks, "_pools", {})
+    return sizes
+
+
+@pytest.mark.parametrize("workers, blocks, threads", [
+    (100_000, 12, 4),  # CPUs bind
+    (3, 12, 3),  # workers bind
+    (100_000, 2, 2),  # blocks bind
+])
+def test_parallel_count_threads_are_bounded(workers, blocks, threads,
+                                            recording_pool, monkeypatch):
+    monkeypatch.setattr(_blocks.os, "sched_getaffinity",
+                        lambda pid: set(range(4)), raising=False)
+    trials = blocks * _blocks.BLOCK_SIZE - 5
+    assert parallel_count(lambda b, n: n, trials, workers) == trials
+    assert recording_pool == [threads]
+    assert list(_blocks._pools) == [threads]
+
+
+def test_parallel_count_takes_cpu_count_without_affinity(recording_pool,
+                                                         monkeypatch):
+    monkeypatch.delattr(_blocks.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_blocks.os, "cpu_count", lambda: 3)
+    assert parallel_count(lambda b, n: n, 12 * 8192, 100_000) == 12 * 8192
+    assert recording_pool == [3]
+
+
+def test_parallel_count_runs_one_thread_in_place(recording_pool,
+                                                 monkeypatch):
+    monkeypatch.setattr(_blocks.os, "sched_getaffinity",
+                        lambda pid: {0}, raising=False)
+    assert parallel_count(lambda b, n: n, 12 * 8192, 8) == 12 * 8192
+    assert parallel_count(lambda b, n: n, 0, 8) == 0
+    assert recording_pool == []
+
+
 def _sweep_cfg(experiment):
     return ExperimentConfig(experiment=experiment, alpha_grid=[0.3],
                             snr_db_grid=[6.0], corr_r_grid=[0.0, 0.5],

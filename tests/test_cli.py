@@ -1,8 +1,17 @@
+import argparse
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from coopbeam import cli
 from coopbeam.cli import load_config_file, main, parse_range
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parse_range_inclusive():
@@ -16,6 +25,40 @@ def test_parse_range_rejects_garbage():
     for bad in ("1:2", "2:1:0.5", "a:b:c", "1:5:0"):
         with pytest.raises((argparse.ArgumentTypeError, ValueError)):
             parse_range(bad)
+
+
+# Ranges that an endless loop would not finish are run only in a
+# subprocess, below.
+@pytest.mark.parametrize("text", ["nan:1:0.1", "0:1:nan"])
+def test_parse_range_rejects_non_finite(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
+        parse_range(text)
+
+
+def test_parse_range_caps_its_length():
+    cap = cli.MAX_RANGE_VALUES
+    assert len(parse_range(f"1:{cap}:1")) == cap
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        parse_range(f"0:{cap}:1")
+
+
+def _one_gib_address_space():
+    # a regression that grows an unbounded list fails here, not the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "0:1:inf", "1e17:2e17:1",
+                                  "-1e308:1e308:1e-300"])
+def test_cli_rejects_endless_range_without_hanging(spec, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coopbeam.cli", "snr-sweep",
+         f"--snr-db-range={spec}", "--out", str(tmp_path / "snr.csv")],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_one_gib_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "--snr-db-range" in proc.stderr
+    assert not (tmp_path / "snr.csv").exists()
 
 
 def test_load_config_file(tmp_path):

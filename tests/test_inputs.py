@@ -1,0 +1,89 @@
+"""The shared input rules of _blocks at every entry point that takes a size
+or a positive physical value.
+
+A size (antenna, node or trial count) must be an integer >= 1, and a
+positive value (power, rate, noise variance, gamma shape) must be finite
+and > 0.  Nothing here draws a Monte Carlo trial.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopbeam.baseline import MimoConfig
+from coopbeam.channel import exponential_correlation
+from coopbeam.harness import ExperimentConfig
+from coopbeam.outage import (OutageConfig, analytical_outage,
+                             regularized_lower_gamma)
+from coopbeam.powerplan import (BroadcastSpec, broadcast_power_bound,
+                                cluster_size, split)
+
+# (entry point, valid keyword arguments, positive fields, size fields)
+ENTRY_POINTS = [
+    (ExperimentConfig, dict(experiment="alpha_sweep"),
+     ("ratio_ptotal_ps", "r_br", "p_total", "sigma_nbr2"), ("m", "trials")),
+    (OutageConfig, dict(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
+                        trials=100),
+     ("p2", "sigma_n2"), ("m", "k", "trials")),
+    (MimoConfig, dict(), ("p_mimo", "sigma_n2"), ("n_tx", "n_rx", "trials")),
+    (BroadcastSpec, dict(), ("r_br", "sigma_nbr2", "p_s"), ()),
+    (split, dict(p_total=60.0, alpha=0.3), ("p_total",), ()),
+    (cluster_size, dict(alpha=0.3, p_total=60.0, p_s=4.0),
+     ("p_total", "p_s"), ()),
+    (broadcast_power_bound, dict(k=5, spec=BroadcastSpec()), (), ("k",)),
+    (analytical_outage, dict(m=3, k=5, r_tr=3.0, p2=42.0, sigma_n2=10.0),
+     ("p2", "sigma_n2"), ("m", "k")),
+    (exponential_correlation, dict(m=3, r=0.3), (), ("m",)),
+    (regularized_lower_gamma, dict(s=2.0, x=1.0), ("s",), ()),
+]
+
+NOT_POSITIVE = st.one_of(st.floats(max_value=0.0),
+                         st.sampled_from([math.nan, math.inf]),
+                         st.integers(-10**9, 0))
+# every float is rejected as a size, 3.0 included; the floats stay small so
+# that code which took one as a size would still build only a small array
+NOT_A_SIZE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 2.5]),
+                       st.floats(-100.0, 100.0), st.booleans(),
+                       st.integers(-10**9, 0))
+
+
+@pytest.mark.properties
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_bad_sizes_and_positive_values_raise(data):
+    fn, valid, positives, sizes = data.draw(st.sampled_from(ENTRY_POINTS))
+    fn(**valid)
+    field = data.draw(st.sampled_from(positives + sizes), label="field")
+    bad = data.draw(NOT_A_SIZE if field in sizes else NOT_POSITIVE,
+                    label="value")
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        fn(**{**valid, field: bad})
+
+
+DRIFT = {
+    "analytical_outage m=True": lambda: analytical_outage(
+        True, 5, 3.0, 42.0, 10.0),
+    "analytical_outage m=2.5": lambda: analytical_outage(
+        2.5, 3, 3.0, 42.0, 10.0),
+    "exponential_correlation m=2.5": lambda: exponential_correlation(2.5, 0.3),
+    "exponential_correlation m=True": lambda: exponential_correlation(
+        True, 0.3),
+    "broadcast_power_bound k=2.5": lambda: broadcast_power_bound(
+        2.5, BroadcastSpec()),
+    "BroadcastSpec r_br=nan": lambda: BroadcastSpec(r_br=math.nan),
+    "BroadcastSpec p_s=inf": lambda: BroadcastSpec(p_s=math.inf),
+    "split p_total=nan": lambda: split(math.nan, 0.3),
+    "split p_total=inf": lambda: split(math.inf, 0.3),
+    "cluster_size p_total=inf": lambda: cluster_size(0.3, math.inf, 4.0),
+    "gamma s=nan": lambda: regularized_lower_gamma(math.nan, 1.0),
+    "gamma x=nan": lambda: regularized_lower_gamma(2.0, math.nan),
+    "gamma s=inf": lambda: regularized_lower_gamma(math.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", DRIFT.values(), ids=DRIFT.keys())
+def test_formerly_accepted_inputs_raise(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
