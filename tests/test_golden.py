@@ -72,6 +72,12 @@ GOLDEN = {
          "--snr-db", "6", "--corr", "0.25", "--corr", "0.75",
          "--trials", FULL_AND_PARTIAL, "--seed", "7"],
         "1c8dd1d09c9723974637c5887f926decd65a4f9102a51892b0b0444dba132167"),
+    # alphas 0.05 and 0.1 miss the broadcast bound at this rate and noise
+    "alpha-infeasible-rbr": (
+        ["alpha-sweep", "--alpha", "0.05", "--alpha", "0.1", "--alpha", "0.3",
+         "--snr-db", "6", "--snr-db", "9", "--rbr", "2.5",
+         "--sigma-nbr2", "0.7", "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        "c8f0232e965de7016044106f308c6527881e1fa516d2a967a569260579e81d67"),
 }
 
 
@@ -86,6 +92,11 @@ GOLDEN_POINT = {
         ["point", "--alpha", "0.4", "--snr-db", "4", "--sigma-nbr2", "2",
          "--trials", FULL_AND_PARTIAL, "--seed", "7"], 1,
         "ff29130b1cdf7a0c7c631ce91e92d02472a4cc4430bcd97f2cd7c79375decaf3"),
+    "point-rbr": (
+        ["point", "--alpha", "0.4", "--snr-db", "4", "--rbr", "1.5",
+         "--sigma-nbr2", "0.8", "--trials", FULL_AND_PARTIAL, "--seed", "7"],
+        0,
+        "a18dab131c778ac113190e788de21f64739f0abc4f275b2a933470cf2ef8b1e7"),
 }
 
 
