@@ -24,7 +24,6 @@ from .outage import (
     regularized_lower_gamma,
 )
 from .powerplan import (
-    BroadcastSpec,
     InfeasibleAllocationError,
     PowerAllocation,
     broadcast_feasible,
@@ -43,7 +42,6 @@ from .harness import (
 )
 
 __all__ = [
-    "BroadcastSpec",
     "CorrelationMatrix",
     "ExperimentConfig",
     "InfeasibleAllocationError",

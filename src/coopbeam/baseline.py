@@ -112,15 +112,6 @@ def block_capacities(rng: np.random.Generator, n: int, n_rx: int, n_tx: int,
     return _log_det(h[0], h[1], scale / 2.0) / _LN2
 
 
-def mimo_capacity(H: np.ndarray, p_mimo: float, sigma_n2: float) -> float:
-    """Open-loop capacity log2 det(I + p/(n_tx*sigma^2) * H H^H) in bits/s/Hz."""
-    H = np.asarray(H)
-    n_rx, n_tx = H.shape
-    scale = p_mimo / (n_tx * sigma_n2)
-    logdet = _log_det(H.real[..., None], H.imag[..., None], scale)
-    return float(logdet[0] / _LN2)
-
-
 def _count_block_factory(cfg: MimoConfig):
     """The seeded_counter of cfg's block capacities (see block_capacities)
     below r_tr."""

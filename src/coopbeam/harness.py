@@ -43,7 +43,6 @@ from .outage import (
     required_snr,
 )
 from .powerplan import (
-    BroadcastSpec,
     InfeasibleAllocationError,
     PowerAllocation,
     broadcast_feasible,
@@ -96,6 +95,7 @@ class ExperimentConfig:
         require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
                          p_total=self.p_total, sigma_nbr2=self.sigma_nbr2)
         required_snr(self.r_tr)
+        required_snr(self.r_br, "r_br")
         seed_components((self.seed,))  # the master seed is one integer
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
@@ -154,11 +154,6 @@ class ExperimentConfig:
     @property
     def p_s(self) -> float:
         return self.p_total / self.ratio_ptotal_ps
-
-    @property
-    def broadcast_spec(self) -> BroadcastSpec:
-        return BroadcastSpec(r_br=self.r_br, sigma_nbr2=self.sigma_nbr2,
-                             p_s=self.p_s)
 
     def sigma_n2_at(self, snr_db: float) -> float:
         return self.p_total / (10.0 ** (snr_db / 10.0))
@@ -282,7 +277,7 @@ def _point(cfg: ExperimentConfig, alpha: float, snr_db: float, index: int,
         k = cluster_size(alpha, cfg.p_total, cfg.p_s)
     except InfeasibleAllocationError:
         return _Point(alloc, 0, False, None)
-    feasible = broadcast_feasible(alloc.p1, k, cfg.broadcast_spec)
+    feasible = broadcast_feasible(alloc.p1, k, cfg.r_br, cfg.sigma_nbr2)
     mc_cfg = OutageConfig(r_tr=cfg.r_tr, p2=alloc.p2,
                           sigma_n2=cfg.sigma_n2_at(snr_db), m=cfg.m, k=k,
                           trials=cfg.trials, seed=(cfg.seed, index),
@@ -436,7 +431,8 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "p2": pt.alloc.p2,
         "k": pt.k,
         "sigma_n2": sigma_n2,
-        "broadcast_bound": (broadcast_power_bound(pt.k, cfg.broadcast_spec)
+        "broadcast_bound": (broadcast_power_bound(pt.k, cfg.r_br,
+                                                  cfg.sigma_nbr2)
                             if pt.k else math.inf),
         "feasible": pt.feasible,
     }

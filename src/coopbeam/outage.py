@@ -23,20 +23,20 @@ _GAMMA_ITMAX = 1000
 _STIRLING_MIN_S = 50.0
 
 
-def required_snr(r_tr: float) -> float:
-    """SNR 2^r_tr - 1 that rate r_tr needs.
+def required_snr(r: float, name: str = "r_tr") -> float:
+    """SNR 2^r - 1 that rate r needs; errors call the rate `name`.
 
-    Raises ValueError for an r_tr that is not finite, is negative, or is so
-    large that 2^r_tr overflows a float.
+    Raises ValueError for a rate that is not finite, is negative, or is so
+    large that 2^r overflows a float.
     """
-    require_finite(r_tr=r_tr)
-    if r_tr < 0:
-        raise ValueError("r_tr must be nonnegative")
+    require_finite(**{name: r})
+    if r < 0:
+        raise ValueError(f"{name} must be nonnegative")
     try:
-        return 2.0 ** float(r_tr) - 1.0
+        return 2.0 ** float(r) - 1.0
     except OverflowError:
         raise ValueError(
-            f"r_tr {r_tr} is too large: 2**r_tr - 1 is not finite") from None
+            f"{name} {r} is too large: 2**{name} - 1 is not finite") from None
 
 
 def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 from ._blocks import require_positive, require_positive_int
+from .outage import required_snr
 
 
 class InfeasibleAllocationError(ValueError):
@@ -25,19 +26,6 @@ class PowerAllocation:
     alpha: float
     p1: float
     p2: float
-
-
-@dataclass(frozen=True)
-class BroadcastSpec:
-    """Intra-cluster broadcast parameters: rate, noise variance, per-node power."""
-
-    r_br: float = 2.0
-    sigma_nbr2: float = 1.0
-    p_s: float = 4.0
-
-    def __post_init__(self):
-        require_positive(r_br=self.r_br, sigma_nbr2=self.sigma_nbr2,
-                         p_s=self.p_s)
 
 
 def split(p_total: float, alpha: float) -> PowerAllocation:
@@ -74,15 +62,18 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
     return k
 
 
-def broadcast_power_bound(k: int, spec: BroadcastSpec) -> float:
+def broadcast_power_bound(k: int, r_br: float, sigma_nbr2: float) -> float:
     """Minimum broadcast-phase power: K * (2^r_br - 1) * sigma_nbr2."""
     require_positive_int(k=k)
-    return k * (2.0 ** spec.r_br - 1.0) * spec.sigma_nbr2
+    require_positive(r_br=r_br, sigma_nbr2=sigma_nbr2)
+    return k * required_snr(r_br, "r_br") * sigma_nbr2
 
 
-def broadcast_feasible(p1: float, k: int, spec: BroadcastSpec) -> bool:
+def broadcast_feasible(p1: float, k: int, r_br: float,
+                       sigma_nbr2: float) -> bool:
     """True iff p1 covers the broadcast bound (phase then modeled error-free)."""
-    return p1 >= broadcast_power_bound(k, spec)
+    require_positive(p1=p1)
+    return p1 >= broadcast_power_bound(k, r_br, sigma_nbr2)
 
 
 def optimize_alpha(curve) -> dict:

@@ -331,3 +331,13 @@ def test_unparsable_config_value_exits_naming_file_and_key(text, key,
     assert rc == 2
     assert f"{cfg}: {key}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_broadcast_rate_exits_before_any_draw(tmp_path, capsys,
+                                                          no_draws):
+    out = tmp_path / "never.txt"
+    rc = main(["point", "--alpha", "0.3", "--snr-db", "6", "--rbr", "2000",
+               "--out", str(out)])
+    assert rc == 2
+    assert "r_br 2000" in capsys.readouterr().err
+    assert not out.exists()

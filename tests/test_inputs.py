@@ -17,7 +17,7 @@ from coopbeam.channel import exponential_correlation
 from coopbeam.harness import ExperimentConfig
 from coopbeam.outage import (OutageConfig, analytical_outage,
                              regularized_lower_gamma)
-from coopbeam.powerplan import (BroadcastSpec, broadcast_power_bound,
+from coopbeam.powerplan import (broadcast_feasible, broadcast_power_bound,
                                 cluster_size, split)
 
 # (entry point, valid keyword arguments, positive fields, size fields)
@@ -28,11 +28,13 @@ ENTRY_POINTS = [
                         trials=100),
      ("p2", "sigma_n2"), ("m", "k", "trials")),
     (MimoConfig, dict(), ("p_mimo", "sigma_n2"), ("n_tx", "n_rx", "trials")),
-    (BroadcastSpec, dict(), ("r_br", "sigma_nbr2", "p_s"), ()),
     (split, dict(p_total=60.0, alpha=0.3), ("p_total",), ()),
     (cluster_size, dict(alpha=0.3, p_total=60.0, p_s=4.0),
      ("p_total", "p_s"), ()),
-    (broadcast_power_bound, dict(k=5, spec=BroadcastSpec()), (), ("k",)),
+    (broadcast_power_bound, dict(k=5, r_br=2.0, sigma_nbr2=1.0),
+     ("r_br", "sigma_nbr2"), ("k",)),
+    (broadcast_feasible, dict(p1=30.0, k=5, r_br=2.0, sigma_nbr2=1.0),
+     ("p1", "r_br", "sigma_nbr2"), ("k",)),
     (analytical_outage, dict(m=3, k=5, r_tr=3.0, p2=42.0, sigma_n2=10.0),
      ("p2", "sigma_n2"), ("m", "k")),
     (exponential_correlation, dict(m=3, r=0.3), (), ("m",)),
@@ -71,9 +73,9 @@ DRIFT = {
     "exponential_correlation m=True": lambda: exponential_correlation(
         True, 0.3),
     "broadcast_power_bound k=2.5": lambda: broadcast_power_bound(
-        2.5, BroadcastSpec()),
-    "BroadcastSpec r_br=nan": lambda: BroadcastSpec(r_br=math.nan),
-    "BroadcastSpec p_s=inf": lambda: BroadcastSpec(p_s=math.inf),
+        2.5, 2.0, 1.0),
+    "broadcast_power_bound r_br=nan": lambda: broadcast_power_bound(
+        5, math.nan, 1.0),
     "split p_total=nan": lambda: split(math.nan, 0.3),
     "split p_total=inf": lambda: split(math.inf, 0.3),
     "cluster_size p_total=inf": lambda: cluster_size(0.3, math.inf, 4.0),

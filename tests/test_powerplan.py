@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopbeam.powerplan import (
-    BroadcastSpec,
     InfeasibleAllocationError,
     broadcast_feasible,
     broadcast_power_bound,
@@ -69,35 +68,36 @@ def test_cluster_size_nondecreasing_in_alpha():
 
 
 def test_broadcast_power_bound_values():
-    assert broadcast_power_bound(3, BroadcastSpec(r_br=2.0, sigma_nbr2=1.0,
-                                                  p_s=4.0)) == 9.0
-    assert broadcast_power_bound(1, BroadcastSpec(r_br=1.0, sigma_nbr2=1.0,
-                                                  p_s=4.0)) == 1.0
-    assert broadcast_power_bound(6, BroadcastSpec(r_br=2.0, sigma_nbr2=1.0,
-                                                  p_s=4.0)) == 18.0
+    assert broadcast_power_bound(3, 2.0, 1.0) == 9.0
+    assert broadcast_power_bound(1, 1.0, 1.0) == 1.0
+    assert broadcast_power_bound(6, 2.0, 1.0) == 18.0
 
 
 @pytest.mark.properties
 @given(k=st.integers(1, 500))
 @settings(deadline=None)
 def test_broadcast_power_bound_linear_in_k(k):
-    spec = BroadcastSpec(r_br=2.0, sigma_nbr2=1.5, p_s=4.0)
-    assert broadcast_power_bound(2 * k, spec) == pytest.approx(
-        2.0 * broadcast_power_bound(k, spec), rel=1e-12)
+    assert broadcast_power_bound(2 * k, 2.0, 1.5) == pytest.approx(
+        2.0 * broadcast_power_bound(k, 2.0, 1.5), rel=1e-12)
 
 
 def test_broadcast_feasible_boundary():
-    spec = BroadcastSpec(r_br=2.0, sigma_nbr2=1.0, p_s=4.0)
-    assert broadcast_feasible(9.0, 3, spec) is True
-    assert broadcast_feasible(8.99, 3, spec) is False
-    assert broadcast_feasible(18.0, 6, spec) is True
+    assert broadcast_feasible(9.0, 3, 2.0, 1.0) is True
+    assert broadcast_feasible(8.99, 3, 2.0, 1.0) is False
+    assert broadcast_feasible(18.0, 6, 2.0, 1.0) is True
 
 
-def test_broadcast_spec_validation():
+def test_broadcast_power_bound_validation():
     with pytest.raises(ValueError):
-        BroadcastSpec(r_br=0.0)
+        broadcast_power_bound(1, 0.0, 1.0)
     with pytest.raises(ValueError):
-        BroadcastSpec(sigma_nbr2=-1.0)
+        broadcast_power_bound(1, 2.0, -1.0)
+
+
+def test_broadcast_power_bound_rejects_overflowing_rate():
+    # 2**2000 overflows a float: the rate rule of required_snr, named r_br
+    with pytest.raises(ValueError, match="r_br .* too large"):
+        broadcast_power_bound(1, 2000.0, 1.0)
 
 
 def _alpha_sweep(**kwargs):
