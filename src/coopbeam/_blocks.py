@@ -59,10 +59,23 @@ def require_positive_int(**values) -> None:
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first keyword value that is NaN or inf."""
+    """Raise ValueError naming the first keyword value that is NaN, inf or
+    an int too large for a float."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_bool(**values) -> None:
+    """Raise ValueError naming the first keyword value that is not a bool
+    (numpy bools accepted)."""
+    for name, value in values.items():
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def require_positive(**values) -> None:

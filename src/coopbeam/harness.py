@@ -28,8 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from ._blocks import (BLOCK_SIZE, require_positive, require_positive_int,
-                      seed_components)
+from ._blocks import (BLOCK_SIZE, require_bool, require_positive,
+                      require_positive_int, seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 from .channel import exponential_correlation
@@ -97,6 +97,7 @@ class ExperimentConfig:
         required_snr(self.r_tr)
         required_snr(self.r_br, "r_br")
         seed_components((self.seed,))  # the master seed is one integer
+        require_bool(include_baseline=self.include_baseline)
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.bound_variant not in BOUND_VARIANTS:

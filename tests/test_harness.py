@@ -390,3 +390,17 @@ def test_corr_sweep_config_takes_one_alpha():
         ExperimentConfig(experiment="corr_sweep", alpha_grid=[0.3, 0.5])
     cfg = ExperimentConfig(experiment="corr_sweep", alpha_grid=[0.5])
     assert cfg.alpha_grid == (0.5,)
+
+
+@pytest.mark.parametrize("flag", ["no", 2, 1, None])
+def test_config_rejects_non_bool_include_baseline(flag, no_draws):
+    with pytest.raises(ValueError, match="include_baseline must be a bool"):
+        ExperimentConfig(experiment="snr_sweep", include_baseline=flag)
+
+
+def test_config_accepts_numpy_bool_include_baseline():
+    texts = [run_snr_sweep(_cfg(experiment="snr_sweep", snr_db_grid=[6.0],
+                                trials=500, include_baseline=flag)).csv_text
+             for flag in (False, np.bool_(False))]
+    assert texts[0] == texts[1]
+    assert "# include_baseline = 0" in texts[0]

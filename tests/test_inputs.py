@@ -78,6 +78,9 @@ DRIFT = {
         5, math.nan, 1.0),
     "split p_total=nan": lambda: split(math.nan, 0.3),
     "split p_total=inf": lambda: split(math.inf, 0.3),
+    "split p_total=10**400": lambda: split(10**400, 0.3),
+    "OutageConfig p2=10**400": lambda: OutageConfig(
+        r_tr=3.0, p2=10**400, sigma_n2=10.0, m=3, k=5, trials=100),
     "cluster_size p_total=inf": lambda: cluster_size(0.3, math.inf, 4.0),
     "gamma s=nan": lambda: regularized_lower_gamma(math.nan, 1.0),
     "gamma x=nan": lambda: regularized_lower_gamma(2.0, math.nan),
