@@ -64,8 +64,8 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         try:
             finite = math.isfinite(value)
-        except OverflowError:
-            finite = False
+        except OverflowError:  # its digits may exceed str()'s limit
+            finite, value = False, "an int too large for a float"
         if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
