@@ -59,9 +59,11 @@ def require_positive_int(**values) -> None:
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first keyword value that is NaN, inf or
-    an int too large for a float."""
+    """Raise ValueError naming the first keyword value that is a bool (numpy
+    bools included), NaN, inf or an int too large for a float."""
     for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not {value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:  # its digits may exceed str()'s limit
@@ -149,6 +151,12 @@ def seeded_counter(seed, statistic, threshold: float):
         return int(np.count_nonzero(statistic(rng, n) < threshold))
 
     return count_block
+
+
+# the seeding rule of seeded_counter and block_sizes, as the run manifest
+# records it: point i of a sweep passes the seed components (seed, i)
+SUBSEED_RULE = (f"point i, block b -> default_rng([seed, i, b]), "
+                f"block_size={BLOCK_SIZE}")
 
 
 def block_sizes(trials: int) -> list[int]:

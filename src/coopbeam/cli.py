@@ -23,7 +23,6 @@ from ._blocks import require_finite, require_positive_int
 from .harness import (
     ExperimentConfig,
     format_report,
-    report_timing,
     run_alpha_sweep,
     run_corr_sweep,
     run_single_point,
@@ -35,6 +34,7 @@ _RUNNERS = {
     "alpha_sweep": run_alpha_sweep,
     "snr_sweep": run_snr_sweep,
     "corr_sweep": run_corr_sweep,
+    "single_point": run_single_point,
 }
 
 OUTDIR_ENV = "COOPBEAM_OUTDIR"
@@ -231,12 +231,7 @@ def main(argv=None) -> int:
         merged = _merge(args)
         workers = merged.pop("workers", 1)
         require_positive_int(workers=workers)
-        if experiment == "single_point":
-            if "alpha_grid" not in merged:
-                raise ValueError("point requires --alpha")
-            if "snr_db_grid" not in merged:
-                raise ValueError("point requires --snr-db")
-        elif not merged.get("output_path"):
+        if experiment != "single_point" and not merged.get("output_path"):
             merged["output_path"] = os.path.join(
                 os.environ.get(OUTDIR_ENV, ""),
                 experiment.replace("_", "-") + ".csv")
@@ -245,22 +240,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if experiment == "single_point":
-        report = run_single_point(cfg, workers=workers)
-        text = format_report(report)
-        if cfg.output_path:
-            with open(cfg.output_path, "w") as fh:
-                fh.write(text)
-        print(text, end="")
-        report_timing(report["manifest"])
-        if not report["feasible"]:
-            print("infeasible: broadcast power bound unmet", file=sys.stderr)
-            return 1
-        return 0
-
     result = _RUNNERS[experiment](cfg, workers=workers)
-    report_timing(result.manifest)
-    print(f"wrote {cfg.output_path} ({result.manifest.row_count} rows)")
+    point = experiment == "single_point"
+    if point:
+        print(format_report(result), end="")
+    manifest = result["manifest"] if point else result.manifest
+    # wall-clock goes to stderr only, so output files stay reproducible
+    print(f"wall_clock_s = {manifest.wall_clock_s:.3f}", file=sys.stderr)
+    if not point:
+        print(f"wrote {cfg.output_path} ({manifest.row_count} rows)")
+    elif not result["feasible"]:
+        print("infeasible: broadcast power bound unmet", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,12 +9,12 @@ Conventions used by every experiment
   ratio, so results are invariant to the absolute budget; broadcast
   feasibility (which needs an absolute scale) is checked against the
   per-node broadcast power P_s = P_total / ratio_ptotal_ps.
-* Grid point i, block b draws from numpy default_rng([seed, i, b]) with
-  8192-trial blocks; the outage reduction is an integer count, so output
-  bytes do not depend on the worker count.
-* CSV files carry a '#'-prefixed manifest header.  Wall-clock time is
-  deliberately NOT written to the file (it would break byte-for-byte
-  reproducibility); runners report it separately.
+* Grid point i seeds its Monte Carlo blocks by ``_blocks.SUBSEED_RULE``;
+  the outage reduction is an integer count, so output bytes do not depend
+  on the worker count.
+* CSV files and point reports carry a '#'-prefixed manifest header.
+  Wall-clock time is deliberately NOT written to the file (it would break
+  byte-for-byte reproducibility); the CLI prints it to stderr.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from ._blocks import (BLOCK_SIZE, require_bool, require_positive,
+from ._blocks import (SUBSEED_RULE, require_bool, require_positive,
                       require_positive_int, seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
@@ -67,8 +66,9 @@ class ExperimentConfig:
     alpha 0.2..0.8 step 0.05 over SNR 2..12 dB; the SNR sweep compares the
     alpha = 0.3 and 0.4 allocations (plus the MIMO baseline); the
     correlation sweep holds one alpha (default 0.3) and scans r in
-    {0, 0.25, 0.5, 0.75}.  output_path must be a file in a directory that
-    exists.
+    {0, 0.25, 0.5, 0.75}.  A single point has no defaults: it needs exactly
+    one alpha and one snr_db.  output_path must be a file in a directory
+    that exists.
     """
 
     experiment: str
@@ -110,17 +110,17 @@ class ExperimentConfig:
                     os.path.dirname(os.path.abspath(self.output_path))):
                 raise ValueError(f"output directory of "
                                  f"{self.output_path!r} does not exist")
-        object.__setattr__(self, "alpha_grid",
-                           self._grid(self.alpha_grid, self._default_alphas()))
-        object.__setattr__(self, "snr_db_grid",
-                           self._grid(self.snr_db_grid, _DEFAULT_SNR_GRID))
+        point = self.experiment == "single_point"  # no default grids
+        object.__setattr__(self, "alpha_grid", self._grid(
+            self.alpha_grid, () if point else self._default_alphas()))
+        object.__setattr__(self, "snr_db_grid", self._grid(
+            self.snr_db_grid, () if point else _DEFAULT_SNR_GRID))
         object.__setattr__(self, "corr_r_grid",
                            self._grid(self.corr_r_grid, _DEFAULT_CORR_GRID))
-        if self.experiment == "single_point":
-            if len(self.alpha_grid) != 1 or len(self.snr_db_grid) != 1:
-                raise ValueError(
-                    "single_point needs exactly one alpha and one snr_db"
-                )
+        if point:
+            for name in ("alpha", "snr_db"):
+                if len(getattr(self, f"{name}_grid")) != 1:
+                    raise ValueError(f"single_point needs exactly one {name}")
         if self.experiment == "corr_sweep" and len(self.alpha_grid) != 1:
             raise ValueError("corr_sweep needs exactly one alpha")
         for alpha in self.alpha_grid:
@@ -197,10 +197,6 @@ class SweepResult:
     csv_text: str
 
 
-_SUBSEED_RULE = (f"point i, block b -> default_rng([seed, i, b]), "
-                 f"block_size={BLOCK_SIZE}")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
@@ -233,7 +229,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 def _manifest(cfg: ExperimentConfig, start: float, row_count: int,
               extra=None) -> RunManifest:
     return RunManifest(config=_config_echo(cfg), version=__version__,
-                       master_seed=cfg.seed, subseed_rule=_SUBSEED_RULE,
+                       master_seed=cfg.seed, subseed_rule=SUBSEED_RULE,
                        row_count=row_count,
                        wall_clock_s=time.perf_counter() - start,
                        extra=extra or {})
@@ -247,16 +243,21 @@ def _start(cfg: ExperimentConfig, experiment: str) -> float:
     return time.perf_counter()
 
 
+def _write(cfg: ExperimentConfig, text: str) -> str:
+    """Write a run's text to cfg.output_path, if set, and return it."""
+    if cfg.output_path:
+        with open(cfg.output_path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
                   summary, extra) -> SweepResult:
     """Manifest, CSV text and output file of a finished sweep."""
     manifest = _manifest(cfg, start, len(rows), extra)
     lines = manifest.header_lines() + [",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+    text = _write(cfg, "\n".join(lines) + "\n")
     return SweepResult(columns, rows, summary, manifest, text)
 
 
@@ -413,7 +414,8 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     The report carries the allocation (P1, P2, K), broadcast feasibility,
     the Monte Carlo estimate with its standard error, both analytical bound
-    variants, and the run manifest.  trials = 1 is legal but degenerate
+    variants, and the run manifest; format_report(report) goes to
+    cfg.output_path, if set.  trials = 1 is legal but degenerate
     (probability 0 or 1 with zero standard error) and draws a warning.
     """
     start = _start(cfg, "single_point")
@@ -446,6 +448,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
                 cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, sigma_n2, variant=variant)
     report["manifest"] = _manifest(cfg, start, 1)
+    _write(cfg, format_report(report))
     return report
 
 
@@ -455,8 +458,3 @@ def format_report(report: dict) -> str:
              if key != "manifest"]
     lines.extend(report["manifest"].header_lines())
     return "\n".join(lines) + "\n"
-
-
-def report_timing(manifest: RunManifest) -> None:
-    """Print wall-clock to stderr (kept out of the CSV for reproducibility)."""
-    print(f"wall_clock_s = {manifest.wall_clock_s:.3f}", file=sys.stderr)

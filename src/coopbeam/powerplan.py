@@ -38,8 +38,7 @@ def split(p_total: float, alpha: float) -> PowerAllocation:
     # recompute p1 as the residual so the two phases recover the budget
     # exactly; a plain alpha*p_total can land one rounding step off
     p1 = p_total - p2
-    if p1 + p2 != p_total:
-        p2 = p_total - p1
+    # p1 + p2 == p_total by Sterbenz: p2 or alpha*p_total is >= p_total/2
     return PowerAllocation(p_total=p_total, alpha=alpha, p1=p1, p2=p2)
 
 

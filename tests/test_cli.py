@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coopbeam import cli
+from coopbeam import cli, harness
 from coopbeam.cli import load_config_file, main, parse_range
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -103,6 +103,19 @@ def test_point_command_infeasible_exit_code(capsys):
 def test_point_requires_alpha_and_snr(capsys):
     assert main(["point", "--snr-db", "4", "--trials", "100"]) == 2
     assert main(["point", "--alpha", "0.4", "--trials", "100"]) == 2
+
+
+def test_point_without_alpha_exits_before_any_draw(tmp_path, capsys,
+                                                   no_draws):
+    out = tmp_path / "never.txt"
+    assert main(["point", "--snr-db", "4", "--out", str(out)]) == 2
+    assert "single_point needs exactly one alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_experiment_has_a_runner():
+    # bench/tracer.py and bench/child.py see a command through this table
+    assert set(cli._RUNNERS) == set(harness.EXPERIMENTS)
 
 
 def test_invalid_config_exit_code(capsys):

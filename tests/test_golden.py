@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from coopbeam.cli import main
+from coopbeam.harness import ExperimentConfig, run_single_point
 
 FULL_AND_PARTIAL = "8692"
 
@@ -117,3 +118,12 @@ def test_golden_point_sha256(run, tmp_path, capsys):
     out = tmp_path / f"{run}.txt"
     assert main([*argv, "--out", str(out)]) == status
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_library_point_writes_the_pinned_report(tmp_path):
+    out = tmp_path / "point.txt"
+    run_single_point(ExperimentConfig(
+        experiment="single_point", alpha_grid=[0.4], snr_db_grid=[4.0],
+        trials=int(FULL_AND_PARTIAL), seed=7, output_path=str(out)))
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == GOLDEN_POINT["point"][2])

@@ -52,6 +52,15 @@ def test_config_validation():
         ExperimentConfig(experiment="alpha_sweep", trials=0)
 
 
+@pytest.mark.parametrize("missing, given", [
+    ("alpha", {"snr_db_grid": [4.0]}),
+    ("snr_db", {"alpha_grid": [0.4]}),
+])
+def test_single_point_has_no_default_grid(missing, given, no_draws):
+    with pytest.raises(ValueError, match=f"exactly one {missing}$"):
+        ExperimentConfig(experiment="single_point", **given)
+
+
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf])
 def test_config_rejects_non_finite_snr(snr_db):
     with pytest.raises(ValueError, match="not finite"):

@@ -43,7 +43,7 @@ ENTRY_POINTS = [
 
 NOT_POSITIVE = st.one_of(st.floats(max_value=0.0),
                          st.sampled_from([math.nan, math.inf]),
-                         st.integers(-10**9, 0))
+                         st.integers(-10**9, 0), st.booleans())
 # every float is rejected as a size, 3.0 included; the floats stay small so
 # that code which took one as a size would still build only a small array
 NOT_A_SIZE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 2.5]),
@@ -79,6 +79,12 @@ DRIFT = {
     "split p_total=nan": lambda: split(math.nan, 0.3),
     "split p_total=inf": lambda: split(math.inf, 0.3),
     "split p_total=10**400": lambda: split(10**400, 0.3),
+    "split p_total=True": lambda: split(True, 0.3),
+    "ExperimentConfig r_br=True": lambda: ExperimentConfig(
+        experiment="alpha_sweep", r_br=True, p_total=True,
+        ratio_ptotal_ps=0.5),
+    "OutageConfig r_tr=True": lambda: OutageConfig(
+        r_tr=True, p2=True, sigma_n2=True, m=3, k=5, trials=10),
     "OutageConfig p2=10**400": lambda: OutageConfig(
         r_tr=3.0, p2=10**400, sigma_n2=10.0, m=3, k=5, trials=100),
     "cluster_size p_total=inf": lambda: cluster_size(0.3, math.inf, 4.0),

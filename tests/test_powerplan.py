@@ -24,7 +24,7 @@ def test_split_examples():
 
 
 @pytest.mark.properties
-@given(p_total=st.floats(1e-6, 1e9), alpha=st.floats(1e-9, 1.0,
+@given(p_total=st.floats(1e-300, 1e300), alpha=st.floats(1e-9, 1.0,
                                                      exclude_max=True))
 @settings(deadline=None, max_examples=100)
 def test_split_exact_budget(p_total, alpha):
