@@ -20,22 +20,11 @@ import os
 import sys
 
 from ._blocks import require_finite, require_positive_int
-from .harness import (
-    ExperimentConfig,
-    format_report,
-    run_alpha_sweep,
-    run_corr_sweep,
-    run_single_point,
-    run_snr_sweep,
-)
+from .harness import EXPERIMENTS, ExperimentConfig, format_report
 from .outage import BOUND_VARIANTS, GAIN_MODES
 
-_RUNNERS = {
-    "alpha_sweep": run_alpha_sweep,
-    "snr_sweep": run_snr_sweep,
-    "corr_sweep": run_corr_sweep,
-    "single_point": run_single_point,
-}
+# main calls every runner through this dict, so a caller may wrap its entries
+_RUNNERS = {name: row.runner for name, row in EXPERIMENTS.items()}
 
 OUTDIR_ENV = "COOPBEAM_OUTDIR"
 

@@ -25,7 +25,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._blocks import (SUBSEED_RULE, require_bool, require_positive,
                       require_positive_int, seed_components)
@@ -51,24 +51,13 @@ from .powerplan import (
     split,
 )
 
-EXPERIMENTS = ("alpha_sweep", "snr_sweep", "corr_sweep", "single_point")
-
-_DEFAULT_ALPHA_GRID = tuple(round(0.2 + 0.05 * i, 2) for i in range(13))
-_DEFAULT_SNR_GRID = tuple(float(s) for s in range(2, 13))
-_DEFAULT_CORR_GRID = (0.0, 0.25, 0.5, 0.75)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full parameterization of one experiment run.
 
-    Grids left as None take the experiment's defaults: the alpha sweep scans
-    alpha 0.2..0.8 step 0.05 over SNR 2..12 dB; the SNR sweep compares the
-    alpha = 0.3 and 0.4 allocations (plus the MIMO baseline); the
-    correlation sweep holds one alpha (default 0.3) and scans r in
-    {0, 0.25, 0.5, 0.75}.  A single point has no defaults: it needs exactly
-    one alpha and one snr_db.  output_path must be a file in a directory
-    that exists.
+    Grids left as None take the defaults of the experiment's row in
+    EXPERIMENTS; output_path must be a file in a directory that exists.
     """
 
     experiment: str
@@ -110,19 +99,14 @@ class ExperimentConfig:
                     os.path.dirname(os.path.abspath(self.output_path))):
                 raise ValueError(f"output directory of "
                                  f"{self.output_path!r} does not exist")
-        point = self.experiment == "single_point"  # no default grids
-        object.__setattr__(self, "alpha_grid", self._grid(
-            self.alpha_grid, () if point else self._default_alphas()))
-        object.__setattr__(self, "snr_db_grid", self._grid(
-            self.snr_db_grid, () if point else _DEFAULT_SNR_GRID))
-        object.__setattr__(self, "corr_r_grid",
-                           self._grid(self.corr_r_grid, _DEFAULT_CORR_GRID))
-        if point:
-            for name in ("alpha", "snr_db"):
-                if len(getattr(self, f"{name}_grid")) != 1:
-                    raise ValueError(f"single_point needs exactly one {name}")
-        if self.experiment == "corr_sweep" and len(self.alpha_grid) != 1:
-            raise ValueError("corr_sweep needs exactly one alpha")
+        row = EXPERIMENTS[self.experiment]
+        for name in ("alpha", "snr_db", "corr_r"):
+            object.__setattr__(self, f"{name}_grid", self._grid(
+                getattr(self, f"{name}_grid"), getattr(row, name)))
+        for name in row.one_value:
+            if len(getattr(self, f"{name}_grid")) != 1:
+                raise ValueError(
+                    f"{self.experiment} needs exactly one {name}")
         for alpha in self.alpha_grid:
             if not 0.0 < alpha < 1.0:
                 raise ValueError(f"alpha {alpha} outside (0, 1)")
@@ -132,13 +116,6 @@ class ExperimentConfig:
         for snr_db in self.snr_db_grid:
             if not math.isfinite(snr_db):
                 raise ValueError(f"snr_db {snr_db} is not finite")
-
-    def _default_alphas(self):
-        if self.experiment == "alpha_sweep":
-            return _DEFAULT_ALPHA_GRID
-        if self.experiment == "snr_sweep":
-            return (0.3, 0.4)
-        return (0.3,)
 
     @staticmethod
     def _grid(value, default):
@@ -458,3 +435,25 @@ def format_report(report: dict) -> str:
              if key != "manifest"]
     lines.extend(report["manifest"].header_lines())
     return "\n".join(lines) + "\n"
+
+
+class Experiment(NamedTuple):
+    """An experiment's runner, default grids and one-value grids."""
+
+    runner: Callable
+    alpha: tuple = ()  # default grids; empty: no default
+    snr_db: tuple = ()
+    corr_r: tuple = ()
+    one_value: tuple = ()  # grids that must hold exactly one value
+
+
+_SWEEP_SNRS = tuple(map(float, range(2, 13)))
+EXPERIMENTS = {
+    "alpha_sweep": Experiment(run_alpha_sweep, tuple(
+        round(0.2 + 0.05 * i, 2) for i in range(13)), _SWEEP_SNRS),
+    "snr_sweep": Experiment(run_snr_sweep, (0.3, 0.4), _SWEEP_SNRS),
+    "corr_sweep": Experiment(run_corr_sweep, (0.3,), _SWEEP_SNRS,
+                             (0.0, 0.25, 0.5, 0.75), ("alpha",)),
+    "single_point": Experiment(run_single_point,
+                               one_value=("alpha", "snr_db")),
+}

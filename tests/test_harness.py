@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coopbeam.channel import correlation_level, exponential_correlation
 from coopbeam.harness import (
+    EXPERIMENTS,
     ExperimentConfig,
     run_alpha_sweep,
     run_corr_sweep,
@@ -50,6 +51,22 @@ def test_config_validation():
         ExperimentConfig(experiment="alpha_sweep", gain_mode="matrix")
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="alpha_sweep", trials=0)
+
+
+def test_experiments_table_pins_the_default_grids():
+    sweep_snrs = tuple(float(s) for s in range(2, 13))
+    alphas = tuple(round(0.2 + 0.05 * i, 2) for i in range(13))
+    assert (alphas[0], alphas[-1]) == (0.2, 0.8)
+    assert {name: row[1:] for name, row in EXPERIMENTS.items()} == {
+        "alpha_sweep": (alphas, sweep_snrs, (), ()),
+        "snr_sweep": ((0.3, 0.4), sweep_snrs, (), ()),
+        "corr_sweep": ((0.3,), sweep_snrs, (0.0, 0.25, 0.5, 0.75),
+                       ("alpha",)),
+        "single_point": ((), (), (), ("alpha", "snr_db")),
+    }
+    for name in ("alpha_sweep", "snr_sweep", "corr_sweep"):
+        row, cfg = EXPERIMENTS[name], ExperimentConfig(experiment=name)
+        assert (cfg.alpha_grid, cfg.snr_db_grid) == (row.alpha, row.snr_db)
 
 
 @pytest.mark.parametrize("missing, given", [
