@@ -185,9 +185,9 @@ _CONFIG_KEYS = {
 def _merge(args: argparse.Namespace) -> dict:
     """File values first, then any flag that was actually given.
 
-    Two file keys that fill one destination, such as alpha and alpha_range,
-    raise ValueError, as their flags would, and so does a value its key
-    cannot parse; the message names the file and the key.
+    Two file keys that fill one destination (alpha and alpha_range, say),
+    a key for a flag the subcommand lacks and a value its key cannot parse
+    raise ValueError naming the file and the key, as a bad flag would fail.
     """
     merged: dict = {}
     if args.config:
@@ -196,6 +196,9 @@ def _merge(args: argparse.Namespace) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             dest, parse = _CONFIG_KEYS[key]
+            if not hasattr(args, dest):
+                raise ValueError(f"{args.config}: config key {key!r} is not "
+                                 f"an option of {args.command}")
             if dest in source:
                 raise ValueError(f"{args.config}: config keys "
                                  f"{source[dest]!r} and {key!r} conflict")

@@ -39,6 +39,7 @@ from .outage import (
     OutageEstimate,
     analytical_outage,
     monte_carlo_outage,
+    outage_threshold,
     required_snr,
 )
 from .powerplan import (
@@ -113,9 +114,9 @@ class ExperimentConfig:
         for r in self.corr_r_grid:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"corr r {r} outside [0, 1)")
-        for snr_db in self.snr_db_grid:
-            if not math.isfinite(snr_db):
-                raise ValueError(f"snr_db {snr_db} is not finite")
+        sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
+        p2 = split(self.p_total, max(self.alpha_grid)).p2
+        outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
 
     @staticmethod
     def _grid(value, default):
@@ -134,7 +135,14 @@ class ExperimentConfig:
         return self.p_total / self.ratio_ptotal_ps
 
     def sigma_n2_at(self, snr_db: float) -> float:
-        return self.p_total / (10.0 ** (snr_db / 10.0))
+        try:
+            sigma_n2 = self.p_total / (10.0 ** (snr_db / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            sigma_n2 = math.inf
+        if not 0.0 < sigma_n2 < math.inf:
+            raise ValueError(f"noise variance at snr_db {snr_db} is not "
+                             f"finite and positive")
+        return sigma_n2
 
 
 @dataclass

@@ -43,11 +43,15 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     """Gain threshold below which the target rate is unachievable.
 
     tau = (2^r_tr - 1) * sigma_n2 / p2: outage occurs when the channel gain
-    falls strictly below tau.
+    falls strictly below tau.  Raises ValueError if tau is not finite.
     """
     snr = required_snr(r_tr)
     require_positive(p2=p2, sigma_n2=sigma_n2)
-    return snr * sigma_n2 / p2
+    tau = snr * sigma_n2 / p2
+    if not math.isfinite(tau):
+        raise ValueError(f"threshold (2**r_tr - 1) * sigma_n2 / p2 is not "
+                         f"finite (r_tr={r_tr}, p2={p2}, sigma_n2={sigma_n2})")
+    return tau
 
 
 @dataclass(frozen=True)

@@ -354,3 +354,40 @@ def test_overflowing_broadcast_rate_exits_before_any_draw(tmp_path, capsys,
     assert rc == 2
     assert "r_br 2000" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["point", "--alpha", "0.3", "--snr-db=4000"], "snr_db 4000.0 is not"),
+    (["point", "--alpha", "0.3", "--snr-db=-4000"], "snr_db -4000.0 is not"),
+    (["alpha-sweep", "--snr-db", "4", "--snr-db", "4000"],
+     "snr_db 4000.0 is not"),
+    (["snr-sweep", "--snr-db=-3200"], "snr_db -3200.0 is not"),
+    (["alpha-sweep", "--rtr", "1020", "--snr-db=-20"], "threshold"),
+    (["point", "--alpha", "0.3", "--rtr", "1020", "--snr-db=-20"],
+     "threshold"),
+], ids=["point-snr-4000", "point-snr-minus-4000", "sweep-snr-4000",
+        "snr-sweep-minus-3200", "sweep-tau", "point-tau"])
+def test_overflowing_noise_or_threshold_exits_before_any_draw(
+        argv, message, tmp_path, capsys, no_draws):
+    out = tmp_path / "never.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("alpha-sweep", "corr = 0.5", "corr"),
+    ("point", "no_baseline = yes", "no_baseline"),
+])
+def test_config_key_of_another_subcommand_exits_before_any_draw(
+        command, line, key, tmp_path, capsys, no_draws):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never.txt"
+    rc = main([command, "--config", str(cfg), "--alpha", "0.3",
+               "--snr-db", "4", "--out", str(out)])
+    assert rc == 2
+    assert (f"{cfg}: config key {key!r} is not an option of {command}"
+            in capsys.readouterr().err)
+    assert not out.exists()

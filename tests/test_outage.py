@@ -59,6 +59,22 @@ def test_threshold_rejects_overflowing_rate(r_tr):
         outage_threshold(r_tr, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("r_tr, p2, sigma_n2", [
+    (1020.0, 1e-300, 1.0),  # (2**r_tr - 1) / p2 overflows
+    (3.0, 1.0, 1e308),  # (2**r_tr - 1) * sigma_n2 overflows
+])
+def test_threshold_rejects_an_overflowing_tau(r_tr, p2, sigma_n2):
+    with pytest.raises(ValueError, match="threshold .* is not finite"):
+        outage_threshold(r_tr, p2, sigma_n2)
+
+
+def test_outage_config_rejects_an_overflowing_tau(no_draws):
+    # used to run and report p = 1 with tau = inf
+    with pytest.raises(ValueError, match="threshold .* is not finite"):
+        monte_carlo_outage(OutageConfig(r_tr=1020.0, p2=1e-300, sigma_n2=1.0,
+                                        m=3, k=5, trials=10))
+
+
 def test_threshold_accepts_largest_finite_rates():
     assert math.isfinite(outage_threshold(1023.0, 1.0, 1.0))
     assert math.isfinite(outage_threshold(1023.999, 1.0, 1.0))
