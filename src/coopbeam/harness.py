@@ -135,6 +135,7 @@ class ExperimentConfig:
         return self.p_total / self.ratio_ptotal_ps
 
     def sigma_n2_at(self, snr_db: float) -> float:
+        """p_total / 10**(snr_db/10); ValueError unless finite and > 0."""
         try:
             sigma_n2 = self.p_total / (10.0 ** (snr_db / 10.0))
         except (OverflowError, ZeroDivisionError):
