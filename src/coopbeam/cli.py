@@ -81,73 +81,6 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=None,
-                        help="receive antennas at the fusion center")
-    parser.add_argument("--ratio-ptotal-ps", type=float, default=None,
-                        help="P_total / P_s budget ratio (K = alpha * ratio)")
-    parser.add_argument("--rtr", dest="r_tr", type=float, metavar="RTR",
-                        help="transmission rate R_tr (bits/s/Hz)")
-    parser.add_argument("--rbr", dest="r_br", type=float, metavar="RBR",
-                        help="broadcast rate R_br (bits/s/Hz)")
-    parser.add_argument("--p-total", type=float, default=None,
-                        help="total power budget (broadcast-noise units)")
-    parser.add_argument("--sigma-nbr2", type=float, default=None,
-                        help="broadcast-channel noise variance")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--gain-mode", choices=GAIN_MODES, default=None)
-    parser.add_argument("--bound-variant", choices=BOUND_VARIANTS,
-                        default=None)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="Monte Carlo worker threads (results identical "
-                             "for any count)")
-    parser.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
-    parser.add_argument("--out", dest="output_path", metavar="OUT",
-                        help="output CSV path")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coopbeam",
-        description="Monte Carlo outage experiments for two-phase "
-                    "cooperative cluster transmission",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_alpha = sub.add_parser("alpha-sweep",
-                             help="outage vs power split alpha, per SNR")
-    p_snr = sub.add_parser("snr-sweep",
-                           help="outage vs SNR per allocation + MIMO baseline")
-    p_corr = sub.add_parser("corr-sweep",
-                            help="outage vs receive correlation level")
-    p_point = sub.add_parser("point", help="one (alpha, SNR) point report")
-
-    for p in (p_alpha, p_snr, p_corr, p_point):
-        _add_common(p)
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--alpha", dest="alpha_grid", type=float,
-                           action="append", metavar="ALPHA",
-                           help="explicit alpha (repeatable)")
-        group.add_argument("--alpha-range", dest="alpha_grid",
-                           type=parse_range, metavar="LO:HI:STEP")
-        sgroup = p.add_mutually_exclusive_group()
-        sgroup.add_argument("--snr-db", dest="snr_db_grid", type=float,
-                            action="append", metavar="SNR_DB",
-                            help="explicit SNR in dB (repeatable)")
-        sgroup.add_argument("--snr-db-range", dest="snr_db_grid",
-                            type=parse_range, metavar="LO:HI:STEP")
-
-    p_corr.add_argument("--corr", dest="corr_r_grid", type=float,
-                        action="append", metavar="CORR",
-                        help="exponential-model r value (repeatable)")
-    p_snr.add_argument("--no-baseline", dest="include_baseline",
-                       action="store_false", default=None,
-                       help="omit the MIMO baseline series")
-    return parser
-
-
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -164,41 +97,100 @@ def _boolean(text: str) -> bool:
                          f"got {text!r}") from None
 
 
-# config-file key -> (dest of its flag, parser); every dest but workers is
-# the ExperimentConfig field it sets
-_CONFIG_KEYS = {
-    "m": ("m", int), "ratio_ptotal_ps": ("ratio_ptotal_ps", float),
-    "rtr": ("r_tr", float), "rbr": ("r_br", float),
-    "p_total": ("p_total", float), "sigma_nbr2": ("sigma_nbr2", float),
-    "trials": ("trials", int), "seed": ("seed", int),
-    "gain_mode": ("gain_mode", str), "bound_variant": ("bound_variant", str),
-    "workers": ("workers", int), "out": ("output_path", str),
-    "alpha": ("alpha_grid", _floats),
-    "alpha_range": ("alpha_grid", parse_range),
-    "snr_db": ("snr_db_grid", _floats),
-    "snr_db_range": ("snr_db_grid", parse_range),
-    "corr": ("corr_r_grid", _floats),
-    "no_baseline": ("include_baseline", lambda s: not _boolean(s)),
-}
+_FILE_PARSERS = {"append": _floats, "store_false": lambda s: not _boolean(s)}
+
+# subcommand, the experiment it runs and its help line, in help order
+_COMMANDS = (
+    ("alpha-sweep", "alpha_sweep", "outage vs power split alpha, per SNR"),
+    ("snr-sweep", "snr_sweep", "outage vs SNR per allocation + MIMO baseline"),
+    ("corr-sweep", "corr_sweep", "outage vs receive correlation level"),
+    ("point", "single_point", "one (alpha, SNR) point report"),
+)
+
+
+def _flag(parser, flag: str, group=None, **kwargs) -> None:
+    """Add flag to parser, or to its group, and record its config-file key.
+
+    The key, the flag without '--' and with '_' for '-', maps in the
+    parser's config_keys default to the flag's dest (the ExperimentConfig
+    field it sets, but for workers) and the parser of a file value: by the
+    flag's action in _FILE_PARSERS, else the flag's type, else str.
+    """
+    action = (group or parser).add_argument(flag, **kwargs)
+    parse = _FILE_PARSERS.get(kwargs.get("action"), action.type or str)
+    key = flag[2:].replace("-", "_")
+    parser.get_default("config_keys")[key] = (action.dest, parse)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="coopbeam",
+        description="Monte Carlo outage experiments for two-phase "
+                    "cooperative cluster transmission",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, experiment, text in _COMMANDS:
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(experiment=experiment, config_keys={})
+        _flag(p, "--m", type=int, help="receive antennas at the fusion center")
+        _flag(p, "--ratio-ptotal-ps", type=float,
+              help="P_total / P_s budget ratio (K = alpha * ratio)")
+        _flag(p, "--rtr", dest="r_tr", type=float, metavar="RTR",
+              help="transmission rate R_tr (bits/s/Hz)")
+        _flag(p, "--rbr", dest="r_br", type=float, metavar="RBR",
+              help="broadcast rate R_br (bits/s/Hz)")
+        _flag(p, "--p-total", type=float,
+              help="total power budget (broadcast-noise units)")
+        _flag(p, "--sigma-nbr2", type=float,
+              help="broadcast-channel noise variance")
+        _flag(p, "--trials", type=int)
+        _flag(p, "--seed", type=int)
+        _flag(p, "--gain-mode", choices=GAIN_MODES)
+        _flag(p, "--bound-variant", choices=BOUND_VARIANTS)
+        _flag(p, "--workers", type=int, help="Monte Carlo worker threads "
+              "(results identical for any count)")
+        p.add_argument("--config",
+                       help="key=value config file; flags take precedence")
+        _flag(p, "--out", dest="output_path", metavar="OUT",
+              help="output CSV path")
+        group = p.add_mutually_exclusive_group()
+        _flag(p, "--alpha", group, dest="alpha_grid", type=float,
+              action="append", metavar="ALPHA",
+              help="explicit alpha (repeatable)")
+        _flag(p, "--alpha-range", group, dest="alpha_grid", type=parse_range,
+              metavar="LO:HI:STEP")
+        group = p.add_mutually_exclusive_group()
+        _flag(p, "--snr-db", group, dest="snr_db_grid", type=float,
+              action="append", metavar="SNR_DB",
+              help="explicit SNR in dB (repeatable)")
+        _flag(p, "--snr-db-range", group, dest="snr_db_grid",
+              type=parse_range, metavar="LO:HI:STEP")
+        if command == "corr-sweep":
+            _flag(p, "--corr", dest="corr_r_grid", type=float,
+                  action="append", metavar="CORR",
+                  help="exponential-model r value (repeatable)")
+        if command == "snr-sweep":
+            _flag(p, "--no-baseline", dest="include_baseline",
+                  action="store_false", default=None,
+                  help="omit the MIMO baseline series")
+    return parser
 
 
 def _merge(args: argparse.Namespace) -> dict:
     """File values first, then any flag that was actually given.
 
-    Two file keys that fill one destination (alpha and alpha_range, say),
-    a key for a flag the subcommand lacks and a value its key cannot parse
-    raise ValueError naming the file and the key, as a bad flag would fail.
+    A key that is no option of the subcommand, two keys that fill one dest
+    (alpha and alpha_range, say) or a value its key cannot parse raises
+    ValueError naming the file and the key, as a bad flag would fail.
     """
     merged: dict = {}
     if args.config:
         source: dict = {}
         for key, raw in load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            dest, parse = _CONFIG_KEYS[key]
-            if not hasattr(args, dest):
+            if key not in args.config_keys:
                 raise ValueError(f"{args.config}: config key {key!r} is not "
                                  f"an option of {args.command}")
+            dest, parse = args.config_keys[key]
             if dest in source:
                 raise ValueError(f"{args.config}: config keys "
                                  f"{source[dest]!r} and {key!r} conflict")
@@ -207,8 +199,8 @@ def _merge(args: argparse.Namespace) -> dict:
                 merged[dest] = parse(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{args.config}: {key}: {exc}") from None
-    for dest, _ in _CONFIG_KEYS.values():
-        flag = getattr(args, dest, None)
+    for dest, _ in args.config_keys.values():
+        flag = getattr(args, dest)
         if flag is not None:
             merged[dest] = flag
     return merged
@@ -216,24 +208,20 @@ def _merge(args: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    experiment = args.command.replace("-", "_")
-    if experiment == "point":
-        experiment = "single_point"
+    point = args.experiment == "single_point"
     try:
         merged = _merge(args)
         workers = merged.pop("workers", 1)
         require_positive_int(workers=workers)
-        if experiment != "single_point" and not merged.get("output_path"):
+        if not point and not merged.get("output_path"):
             merged["output_path"] = os.path.join(
-                os.environ.get(OUTDIR_ENV, ""),
-                experiment.replace("_", "-") + ".csv")
-        cfg = ExperimentConfig(experiment=experiment, **merged)
+                os.environ.get(OUTDIR_ENV, ""), args.command + ".csv")
+        cfg = ExperimentConfig(experiment=args.experiment, **merged)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    result = _RUNNERS[experiment](cfg, workers=workers)
-    point = experiment == "single_point"
+    result = _RUNNERS[args.experiment](cfg, workers=workers)
     if point:
         print(format_report(result), end="")
     manifest = result["manifest"] if point else result.manifest

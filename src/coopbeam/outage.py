@@ -43,11 +43,16 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     """Gain threshold below which the target rate is unachievable.
 
     tau = (2^r_tr - 1) * sigma_n2 / p2: outage occurs when the channel gain
-    falls strictly below tau.  Raises ValueError if tau is not finite.
+    falls strictly below tau.  It is taken left to right, or with
+    sigma_n2 / p2 first only when (2^r_tr - 1) * sigma_n2 overflows, so a
+    finite tau near the float maximum is kept.  Raises ValueError if tau is
+    not finite.
     """
     snr = required_snr(r_tr)
     require_positive(p2=p2, sigma_n2=sigma_n2)
     tau = snr * sigma_n2 / p2
+    if not math.isfinite(tau):
+        tau = snr * (sigma_n2 / p2)
     if not math.isfinite(tau):
         raise ValueError(f"threshold (2**r_tr - 1) * sigma_n2 / p2 is not "
                          f"finite (r_tr={r_tr}, p2={p2}, sigma_n2={sigma_n2})")
@@ -251,6 +256,11 @@ def regularized_lower_gamma(s: float, x: float) -> float:
         else:
             raise _not_converged(s, x)
         return total * math.exp(_log_gamma_prefactor(s, x))
+    prefactor = math.exp(_log_gamma_prefactor(s, x))
+    if prefactor == 0.0:
+        # Q = prefactor * (a fraction below 1) is 0; for x near the float
+        # maximum Lentz's d would go subnormal and never converge
+        return 1.0
     # modified Lentz continued fraction for Q(s, x); P = 1 - Q
     tiny = 1e-300
     b = x + 1.0 - s
@@ -273,8 +283,7 @@ def regularized_lower_gamma(s: float, x: float) -> float:
             break
     else:
         raise _not_converged(s, x)
-    q = math.exp(_log_gamma_prefactor(s, x)) * h
-    return 1.0 - q
+    return 1.0 - prefactor * h
 
 
 def analytical_outage(m: int, k: int, r_tr: float, p2: float, sigma_n2: float,

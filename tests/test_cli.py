@@ -376,9 +376,26 @@ def test_overflowing_noise_or_threshold_exits_before_any_draw(
     assert not out.exists()
 
 
+# tau is about 5.1e307 and 6.2e307: finite, with the chi-square bound at 1;
+# the sweep used to exit 2 and the point to die in regularized_lower_gamma
+@pytest.mark.parametrize("argv, code, line", [
+    (["alpha-sweep", "--rtr", "1020", "--snr-db=-5", "--alpha", "0.3"], 0,
+     "-5,0.3,5,1,1,0,1"),
+    (["point", "--p-total", "2", "--alpha", "0.3", "--rtr", "1020.3",
+      "--snr-db=-5"], 1, "p_out_analytical_printed = 1"),
+], ids=["sweep", "infeasible-point"])
+def test_threshold_near_the_float_maximum_runs(argv, code, line, tmp_path,
+                                               capsys):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--trials", "100", "--out", str(out)]) == code
+    assert "error" not in capsys.readouterr().err
+    assert line in out.read_text().splitlines()
+
+
 @pytest.mark.parametrize("command, line, key", [
     ("alpha-sweep", "corr = 0.5", "corr"),
     ("point", "no_baseline = yes", "no_baseline"),
+    ("alpha-sweep", "fidelity = 11", "fidelity"),
 ])
 def test_config_key_of_another_subcommand_exits_before_any_draw(
         command, line, key, tmp_path, capsys, no_draws):
@@ -391,3 +408,57 @@ def test_config_key_of_another_subcommand_exits_before_any_draw(
     assert (f"{cfg}: config key {key!r} is not an option of {command}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+COMMANDS = ("alpha-sweep", "snr-sweep", "corr-sweep", "point")
+
+# the README's config keys: file line, the same value as flags, and the one
+# subcommand that has the flag where not all of them do
+DOCUMENTED_KEYS = {
+    "m": ("4", ["--m", "4"], None),
+    "ratio_ptotal_ps": ("12.5", ["--ratio-ptotal-ps", "12.5"], None),
+    "rtr": ("1.5", ["--rtr", "1.5"], None),
+    "rbr": ("2.5", ["--rbr", "2.5"], None),
+    "p_total": ("30", ["--p-total", "30"], None),
+    "sigma_nbr2": ("1.5", ["--sigma-nbr2", "1.5"], None),
+    "trials": ("500", ["--trials", "500"], None),
+    "seed": ("7", ["--seed", "7"], None),
+    "gain_mode": ("vector", ["--gain-mode", "vector"], None),
+    "bound_variant": ("complex_convention",
+                      ["--bound-variant", "complex_convention"], None),
+    "workers": ("2", ["--workers", "2"], None),
+    "out": ("x.csv", ["--out", "x.csv"], None),
+    "alpha": ("0.3,0.4", ["--alpha", "0.3", "--alpha", "0.4"], None),
+    "alpha_range": ("0.3:0.4:0.1", ["--alpha-range", "0.3:0.4:0.1"], None),
+    "snr_db": ("4,6", ["--snr-db", "4", "--snr-db", "6"], None),
+    "snr_db_range": ("4:6:1", ["--snr-db-range", "4:6:1"], None),
+    "corr": ("0,0.5", ["--corr", "0", "--corr", "0.5"], "corr-sweep"),
+    "no_baseline": ("yes", ["--no-baseline"], "snr-sweep"),
+}
+
+
+def test_config_keys_are_the_documented_ones():
+    parser = cli.build_parser()
+    keys = set()
+    for command in COMMANDS:
+        keys |= set(parser.parse_args([command]).config_keys)
+    assert keys == set(DOCUMENTED_KEYS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", DOCUMENTED_KEYS)
+def test_config_key_fills_what_its_flag_fills(key, command, tmp_path,
+                                              capsys, no_draws):
+    value, flags, only = DOCUMENTED_KEYS[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_file = [command, "--config", str(cfg)]
+    if only not in (None, command):
+        assert main([*from_file, "--alpha", "0.3", "--snr-db", "4"]) == 2
+        assert (f"{cfg}: config key {key!r} is not an option of {command}"
+                in capsys.readouterr().err)
+        return
+    parser = cli.build_parser()
+    merged = cli._merge(parser.parse_args(from_file))
+    assert merged == cli._merge(parser.parse_args([command, *flags]))
+    assert len(merged) == 1

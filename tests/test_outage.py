@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,28 @@ def test_threshold_accepts_largest_finite_rates():
     assert math.isfinite(outage_threshold(1023.999, 1.0, 1.0))
 
 
+def test_threshold_near_the_float_maximum_is_finite():
+    # (2**r_tr - 1) * sigma_n2 overflows, yet tau is about 5.08e307
+    exact = Fraction(2 ** 1020 - 1) * Fraction(189.74) / Fraction(42.0)
+    assert outage_threshold(1020.0, 42.0, 189.74) == pytest.approx(
+        float(exact), rel=1e-15)
+
+
+@pytest.mark.properties
+@given(r=st.floats(0, 1023.99), p2=st.floats(1e-300, 1e300),
+       s=st.floats(1e-300, 1e300))
+@settings(deadline=None, max_examples=300)
+def test_threshold_keeps_its_bits_wherever_the_product_is_finite(r, p2, s):
+    snr = 2.0 ** r - 1.0
+    if math.isfinite(snr * s / p2):
+        assert outage_threshold(r, p2, s).hex() == (snr * s / p2).hex()
+    elif math.isfinite(snr * (s / p2)):
+        assert outage_threshold(r, p2, s) == snr * (s / p2)
+    else:
+        with pytest.raises(ValueError, match="threshold .* is not finite"):
+            outage_threshold(r, p2, s)
+
+
 # ------------------------------------------------- regularized lower gamma
 
 def test_gamma_at_zero():
@@ -142,6 +165,14 @@ def test_gamma_rejects_nonpositive_s():
 def test_gamma_raises_when_not_converged(s, x):
     with pytest.raises(ArithmeticError, match=re.escape(f"s={s}, x={x}")):
         regularized_lower_gamma(s, x)
+
+
+# exp of the prefactor underflows to 0 there, so Q is 0; the continued
+# fraction's d used to go subnormal and raise ArithmeticError
+@pytest.mark.parametrize("x", [5e307, 1.7e308])
+@pytest.mark.parametrize("s", [0.5, 1.5, 7.5, 15.0, 36.0, 1e3])
+def test_gamma_is_one_near_the_float_maximum(s, x):
+    assert regularized_lower_gamma(s, x) == 1.0
 
 
 # s*log(x) and lgamma(s) are both ~1.3e7 at s = 1e6, so subtracting them
