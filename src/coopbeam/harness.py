@@ -27,8 +27,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ._blocks import (SUBSEED_RULE, require_bool, require_positive,
-                      require_positive_int, seed_components)
+from ._blocks import (SUBSEED_RULE, require_bool, require_finite,
+                      require_positive, require_positive_int, seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 from .channel import exponential_correlation
@@ -84,7 +84,7 @@ class ExperimentConfig:
         require_positive_int(m=self.m, trials=self.trials)
         require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
                          p_total=self.p_total, sigma_nbr2=self.sigma_nbr2)
-        required_snr(self.r_tr)
+        require_positive(p_s=self.p_s)
         required_snr(self.r_br, "r_br")
         seed_components((self.seed,))  # the master seed is one integer
         require_bool(include_baseline=self.include_baseline)
@@ -102,8 +102,8 @@ class ExperimentConfig:
                                  f"{self.output_path!r} does not exist")
         row = EXPERIMENTS[self.experiment]
         for name in ("alpha", "snr_db", "corr_r"):
-            object.__setattr__(self, f"{name}_grid", self._grid(
-                getattr(self, f"{name}_grid"), getattr(row, name)))
+            object.__setattr__(self, f"{name}_grid",
+                               self._grid(f"{name}_grid", getattr(row, name)))
         for name in row.one_value:
             if len(getattr(self, f"{name}_grid")) != 1:
                 raise ValueError(
@@ -118,11 +118,15 @@ class ExperimentConfig:
         p2 = split(self.p_total, max(self.alpha_grid)).p2
         outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
 
-    @staticmethod
-    def _grid(value, default):
+    def _grid(self, name, default):
+        value = getattr(self, name)
         if value is None:
             return tuple(default)
-        grid = tuple(float(v) for v in value)
+        if isinstance(value, str):
+            raise ValueError(f"{name} must be a list, not {value!r}")
+        grid = tuple(value)
+        require_finite(**{f"{name}[{i}]": v for i, v in enumerate(grid)})
+        grid = tuple(map(float, grid))
         if not grid:
             raise ValueError("grids must be nonempty")
         written = [_fmt(v) for v in grid]

@@ -37,33 +37,35 @@ def test_exponential_correlation_domain():
         exponential_correlation(0, 0.5)
 
 
-@pytest.mark.parametrize("entries, message", [
-    ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
-    ([[1.0, 0.5], [0.5, np.inf]], "finite"),
-    ([[1.0, 0.5], [0.4, 1.0]], "symmetric"),
-    ([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]], "symmetric"),
-    # eigenvalues -1, 1, 3
-    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "semidefinite"),
-    ([[1.0, -1.0 - 1e-9], [-1.0 - 1e-9, 1.0]], "semidefinite"),
-    ([[-1.0]], "semidefinite"),
-    (np.zeros((3, 3)), "all-zero diagonal"),
-    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
-], ids=["nan", "inf", "asymmetric-2x2", "asymmetric-3x3", "indefinite",
-        "barely-indefinite", "negative-1x1", "zero", "non-square"])
-def test_correlation_matrix_rejects_invalid_entries(entries, message):
-    with pytest.raises(ValueError, match=message):
-        CorrelationMatrix(np.array(entries))
+def test_exponential_correlation_rejects_bool_r():
+    with pytest.raises(ValueError, match="^r must be a number"):
+        exponential_correlation(3, False)
 
 
-@pytest.mark.parametrize("entries", [
-    np.eye(3),
-    np.ones((3, 3)),  # rank one, smallest eigenvalue 0 up to rounding
-    [[2.0, 1.0], [1.0, 2.0]],
-    [[1.0, 1.0 + 1e-15], [1.0 + 1e-15, 1.0]],  # within rounding of PSD
-], ids=["identity", "all-ones", "2x2", "rounding"])
-def test_correlation_matrix_accepts_psd_entries(entries):
-    C = CorrelationMatrix(np.array(entries))
-    assert C.level == correlation_level(entries)
+def test_equal_m_and_r_compare_and_hash_equal():
+    a, b = exponential_correlation(3, 0.5), CorrelationMatrix(3, 0.5)
+    assert a == b and hash(a) == hash(b)
+    assert a != exponential_correlation(3, 0.25)
+    assert len({a, b, exponential_correlation(4, 0.5)}) == 2
+
+
+def test_entries_are_read_only():
+    C = exponential_correlation(3, 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        C.entries[0, 1] = 5.0
+    assert C.entries[0, 1] == 0.5
+
+
+@pytest.mark.properties
+@given(m=st.integers(1, 8), r=st.floats(0.0, 1.0, exclude_max=True))
+@settings(deadline=None, max_examples=200)
+def test_exponential_correlation_is_a_correlation_matrix(m, r):
+    C = CorrelationMatrix(m, r)
+    assert C.entries.shape == (m, m)
+    assert np.array_equal(C.entries, C.entries.T)
+    assert np.all(np.diag(C.entries) == 1.0)
+    assert np.linalg.eigvalsh(C.entries)[0] >= -1e-12
+    assert C.level == correlation_level(C.entries)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
@@ -86,6 +88,11 @@ def test_level_matches_independent_norms():
     off = C - np.diag(np.diag(C))
     expect = np.sqrt((off ** 2).sum()) / np.sqrt((np.diag(C) ** 2).sum())
     assert correlation_level(C) == pytest.approx(expect, rel=1e-14)
+
+
+def test_level_non_square_raises():
+    with pytest.raises(ValueError, match="square"):
+        correlation_level(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
 def test_level_zero_diagonal_raises():

@@ -356,6 +356,19 @@ def test_overflowing_broadcast_rate_exits_before_any_draw(tmp_path, capsys,
     assert not out.exists()
 
 
+# P_s = 1e-300 / 1e300 underflows to 0, which cluster_size would reject
+@pytest.mark.parametrize("command", ["point", "alpha-sweep"])
+def test_underflowing_broadcast_power_exits_before_any_draw(command, tmp_path,
+                                                            capsys, no_draws):
+    out = tmp_path / "never.txt"
+    rc = main([command, "--p-total", "1e-300", "--ratio-ptotal-ps", "1e300",
+               "--alpha", "0.3", "--snr-db", "4", "--trials", "10",
+               "--out", str(out)])
+    assert rc == 2
+    assert "p_s must be positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["point", "--alpha", "0.3", "--snr-db=4000"], "snr_db 4000.0 is not"),
     (["point", "--alpha", "0.3", "--snr-db=-4000"], "snr_db -4000.0 is not"),

@@ -81,7 +81,10 @@ def test_single_point_has_no_default_grid(missing, given, no_draws):
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, 4000.0, -3200.0,
                                     -4000.0])
 def test_config_rejects_non_finite_snr(snr_db):
-    with pytest.raises(ValueError, match="not finite"):
+    # NaN and inf break the grid's number rule; the rest overflow sigma_n2
+    message = (rf"snr_db {snr_db} is not finite" if math.isfinite(snr_db)
+               else r"snr_db_grid\[1\] must be finite")
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig(experiment="alpha_sweep", snr_db_grid=[4.0, snr_db])
 
 
@@ -296,7 +299,7 @@ def test_corr_sweep_rho_column_consistency():
                            "std_err")
     assert [row[1] for row in res.rows] == [0.0, 0.25, 0.5, 0.75]
     for row in res.rows:
-        expect = correlation_level(exponential_correlation(3, row[1]))
+        expect = correlation_level(exponential_correlation(3, row[1]).entries)
         assert row[2] == pytest.approx(expect, rel=1e-12)
     assert res.rows[0][2] == 0.0
 

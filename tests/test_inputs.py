@@ -83,6 +83,10 @@ DRIFT = {
     "ExperimentConfig r_br=True": lambda: ExperimentConfig(
         experiment="alpha_sweep", r_br=True, p_total=True,
         ratio_ptotal_ps=0.5),
+    "ExperimentConfig snr_db_grid='12'": lambda: ExperimentConfig(
+        experiment="snr_sweep", snr_db_grid="12"),
+    "ExperimentConfig snr_db_grid=[True]": lambda: ExperimentConfig(
+        experiment="snr_sweep", snr_db_grid=[True]),
     "OutageConfig r_tr=True": lambda: OutageConfig(
         r_tr=True, p2=True, sigma_n2=True, m=3, k=5, trials=10),
     "OutageConfig p2=10**400": lambda: OutageConfig(
