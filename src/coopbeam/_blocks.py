@@ -59,8 +59,8 @@ def require_positive_int(**values) -> None:
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first keyword value that is a bool (numpy
-    bools included), NaN, inf or an int too large for a float."""
+    """Raise ValueError naming the first keyword value that is not a number
+    (bools included), or is NaN, inf or an int too large for a float."""
     for name, value in values.items():
         if isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{name} must be a number, not {value!r}")
@@ -68,6 +68,9 @@ def require_finite(**values) -> None:
             finite = math.isfinite(value)
         except OverflowError:  # its digits may exceed str()'s limit
             finite, value = False, "an int too large for a float"
+        except TypeError:
+            raise ValueError(
+                f"{name} must be a number, got {value!r}") from None
         if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 

@@ -17,15 +17,14 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class MimoConfig:
-    """Open-loop MIMO link: n_tx x n_rx iid Rayleigh, equal per-antenna power.
+    """Open-loop MIMO link: m x m iid Rayleigh, equal per-antenna power.
 
     p_mimo is the total transmit power of the compared system (the same
-    budget the two-phase scheme spends), split equally across the n_tx
-    antennas.
+    budget the two-phase scheme spends), split equally across the m
+    transmit antennas.
     """
 
-    n_tx: int = 3
-    n_rx: int = 3
+    m: int = 3
     p_mimo: float = 60.0
     sigma_n2: float = 1.0
     r_tr: float = 3.0
@@ -33,8 +32,7 @@ class MimoConfig:
     seed: object = 0
 
     def __post_init__(self):
-        require_positive_int(n_tx=self.n_tx, n_rx=self.n_rx,
-                             trials=self.trials)
+        require_positive_int(m=self.m, trials=self.trials)
         require_positive(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
         required_snr(self.r_tr)
         seed_components(self.seed)
@@ -43,22 +41,14 @@ class MimoConfig:
 def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
     """Natural log det(I + g * H H^H) for H = hr + j*hi, one per trial.
 
-    hr and hi are (n_rx, n_tx, n): entry (i, j) of every trial's H is a
-    length-n vector.  Only the lower triangle of the Hermitian matrix is
-    built, as real and imaginary n-vectors, and an unpivoted LDL^H
-    elimination runs over it.  Every eigenvalue of the matrix is >= 1, so
-    no pivoting is needed; the log det is the sum of the logs of the pivots.
+    hr and hi are (m, m, n): entry (i, j) of every trial's H is a length-n
+    vector.  Only the lower triangle of the Hermitian matrix is built, as
+    real and imaginary n-vectors, and an unpivoted LDL^H elimination runs
+    over it.  Every eigenvalue of the matrix is >= 1, so no pivoting is
+    needed; the log det is the sum of the logs of the pivots.
     The matrix, the pivot rows and the result live in this thread's
     workspace: the result is a view that the next call overwrites.
-
-    When H has fewer columns than rows, H H^H is rank deficient and its
-    trailing pivots would have to cancel to 1 from values of order g.  The
-    elimination then runs on H^T instead: its Gram matrix has full rank,
-    and det(I + g H^T conj(H)) is the conjugate of det(I + g H^H H), which
-    is real and by Sylvester's identity the same as det(I + g H H^H).
     """
-    if hr.shape[1] < hr.shape[0]:
-        hr, hi = hr.transpose(1, 0, 2), hi.transpose(1, 0, 2)
     m, n = hr.shape[0], hr.shape[2]
     re, im = workspace("gram", (2, m, m, n))
     t, s = workspace("terms", (2, n))
@@ -95,31 +85,20 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
     return logdet
 
 
-def block_capacities(rng: np.random.Generator, n: int, n_rx: int, n_tx: int,
+def block_capacities(rng: np.random.Generator, n: int, m: int,
                      scale: float) -> np.ndarray:
     """Capacities in bits/s/Hz of n channels drawn from rng, as a new array.
 
     Draw order: the channel's real parts, then its imaginary parts, as
-    ``(n, n_rx, n_tx)`` standard normals each.  They come from
-    channel_halves and are copied into this thread's entry-major
-    (2, n_rx, n_tx, n) workspace.  The model is
-    H = (re + j*im) / sqrt(2), and the capacity is
+    ``(n, m, m)`` standard normals each.  They come from channel_halves and
+    are copied into this thread's entry-major (2, m, m, n) workspace.  The
+    model is H = (re + j*im) / sqrt(2), and the capacity is
     log2 det(I + scale * H H^H); the 1/sqrt(2) is folded into scale / 2.
     """
-    h = workspace("entries", (2, n_rx, n_tx, n))
-    for half, start, stop, z in channel_halves(rng, n, (n_rx, n_tx)):
-        h[half, ..., start:stop] = z.transpose(1, 2, 0)
+    h = workspace("entries", (2, m, m, n))
+    for half, start, stop, z in channel_halves(rng, n, (m, m)):
+        h[half, ..., start:stop] = np.moveaxis(z, 0, -1)
     return _log_det(h[0], h[1], scale / 2.0) / _LN2
-
-
-def _count_block_factory(cfg: MimoConfig):
-    """The seeded_counter of cfg's block capacities (see block_capacities)
-    below r_tr."""
-    scale = cfg.p_mimo / (cfg.n_tx * cfg.sigma_n2)
-    return seeded_counter(
-        cfg.seed,
-        lambda rng, n: block_capacities(rng, n, cfg.n_rx, cfg.n_tx, scale),
-        cfg.r_tr)
 
 
 def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
@@ -129,5 +108,9 @@ def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
     the beamforming estimator.  The returned threshold field carries r_tr
     (a rate, not a gain — the capacity statistic is compared directly).
     """
-    count = parallel_count(_count_block_factory(cfg), cfg.trials, workers)
+    scale = cfg.p_mimo / (cfg.m * cfg.sigma_n2)
+    count_block = seeded_counter(
+        cfg.seed, lambda rng, n: block_capacities(rng, n, cfg.m, scale),
+        cfg.r_tr)
+    count = parallel_count(count_block, cfg.trials, workers)
     return OutageEstimate.from_count(count, cfg.trials, cfg.r_tr)

@@ -122,7 +122,7 @@ class ExperimentConfig:
         value = getattr(self, name)
         if value is None:
             return tuple(default)
-        if isinstance(value, str):
+        if isinstance(value, (str, bytes)):
             raise ValueError(f"{name} must be a list, not {value!r}")
         grid = tuple(value)
         require_finite(**{f"{name}[{i}]": v for i, v in enumerate(grid)})
@@ -355,9 +355,9 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     for index, (snr_db, (alpha, sid)) in enumerate(grid):
         if alpha is None:
             est = mimo_outage(MimoConfig(
-                n_tx=cfg.m, n_rx=cfg.m, p_mimo=cfg.p_total,
-                sigma_n2=cfg.sigma_n2_at(snr_db), r_tr=cfg.r_tr,
-                trials=cfg.trials, seed=(cfg.seed, index)), workers=workers)
+                m=cfg.m, p_mimo=cfg.p_total, sigma_n2=cfg.sigma_n2_at(snr_db),
+                r_tr=cfg.r_tr, trials=cfg.trials, seed=(cfg.seed, index)),
+                workers=workers)
         else:
             est = _point(cfg, alpha, snr_db, index, workers).estimate
         rows.append((snr_db, sid, *_p_se(est)))

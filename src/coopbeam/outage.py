@@ -79,6 +79,9 @@ class OutageConfig:
         seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
+        if not isinstance(self.correlation, (CorrelationMatrix, type(None))):
+            raise ValueError(f"correlation must be a CorrelationMatrix, got "
+                             f"{type(self.correlation).__name__}")
         if self.correlation is not None and self.correlation.m != self.m:
             raise ValueError("correlation matrix size must match m")
 
@@ -185,15 +188,6 @@ def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
     return power / norm
 
 
-def _count_block_factory(cfg: OutageConfig, tau: float):
-    """The seeded_counter of cfg's block gains (see block_gains) below tau."""
-    C = None if cfg.correlation is None else cfg.correlation.entries
-    return seeded_counter(
-        cfg.seed,
-        lambda rng, n: block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C),
-        tau)
-
-
 def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
     """Estimate P(channel gain < threshold) over cfg.trials random draws.
 
@@ -203,7 +197,12 @@ def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
     Deterministic for a fixed seed regardless of `workers`.
     """
     tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
-    count = parallel_count(_count_block_factory(cfg, tau), cfg.trials, workers)
+    C = None if cfg.correlation is None else cfg.correlation.entries
+    count_block = seeded_counter(
+        cfg.seed,
+        lambda rng, n: block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C),
+        tau)
+    count = parallel_count(count_block, cfg.trials, workers)
     return OutageEstimate.from_count(count, cfg.trials, tau)
 
 

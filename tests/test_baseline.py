@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from coopbeam._blocks import BLOCK_SIZE
 from coopbeam.baseline import (
     MimoConfig,
-    _count_block_factory,
     _log_det,
     block_capacities,
     mimo_outage,
@@ -14,8 +14,8 @@ from coopbeam.baseline import (
 
 def _capacity(H, g):
     """log2 det(I + g * H H^H) in bits/s/Hz of the one channel H; the
-    equal-power link of total power p over n_tx antennas has
-    g = p / (n_tx * sigma_n2)."""
+    equal-power link of total power p over m antennas has
+    g = p / (m * sigma_n2)."""
     H = np.asarray(H)
     return float(_log_det(H.real[..., None], H.imag[..., None], g)[0]
                  / math.log(2.0))
@@ -47,58 +47,47 @@ def test_capacity_unitary_invariance():
             _capacity(H, p / 3.0), rel=1e-10)
 
 
-def _reference_capacities(rng, n, n_rx, n_tx, scale):
+def _reference_capacities(rng, n, m, scale):
     """The complex MIMO block the real kernel replaced: einsum Gram, slogdet."""
-    re = rng.standard_normal((n, n_rx, n_tx))
-    im = rng.standard_normal((n, n_rx, n_tx))
+    re = rng.standard_normal((n, m, m))
+    im = rng.standard_normal((n, m, m))
     H = (re + 1j * im) / np.sqrt(2.0)
-    gram = np.eye(n_rx) + scale * np.einsum("nij,nkj->nik", H, H.conj())
+    gram = np.eye(m) + scale * np.einsum("nij,nkj->nik", H, H.conj())
     _, logdet = np.linalg.slogdet(gram)
     return logdet / math.log(2.0)
 
 
-ANTENNAS = (1, 2, 3, 4)
+def _links(*counts):
+    """Parameters m of the m x m links, with ids m-m (rows-columns)."""
+    return [pytest.param(m, id=f"{m}-{m}") for m in counts]
+
+
+ANTENNAS = _links(1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("n", [8192, 3616])
 @pytest.mark.parametrize("scale", [0.5, 5.0, 40.0])
-@pytest.mark.parametrize("n_tx", ANTENNAS)
-@pytest.mark.parametrize("n_rx", ANTENNAS)
-def test_block_capacities_match_complex_reference(n_rx, n_tx, scale, n):
-    seed = (n_rx, n_tx, n)
-    ref = _reference_capacities(np.random.default_rng(seed), n, n_rx, n_tx,
-                                scale)
-    got = block_capacities(np.random.default_rng(seed), n, n_rx, n_tx, scale)
+@pytest.mark.parametrize("m", ANTENNAS)
+def test_block_capacities_match_complex_reference(m, scale, n):
+    seed = (m, m, n)
+    ref = _reference_capacities(np.random.default_rng(seed), n, m, scale)
+    got = block_capacities(np.random.default_rng(seed), n, m, scale)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [8192, 3616])
-@pytest.mark.parametrize("n_tx", ANTENNAS)
-@pytest.mark.parametrize("n_rx", ANTENNAS)
-def test_count_block_matches_complex_reference(n_rx, n_tx, n):
-    p_mimo, seed, b = 12.0, 31, 2
-    ref = _reference_capacities(np.random.default_rng((seed, b)), n, n_rx,
-                                n_tx, p_mimo / n_tx)
-    for r_tr in (0.25, 1.0, 3.0, 6.0, float(np.median(ref))):
-        cfg = MimoConfig(n_tx=n_tx, n_rx=n_rx, p_mimo=p_mimo, sigma_n2=1.0,
-                         r_tr=r_tr, seed=seed)
-        count = _count_block_factory(cfg)(b, n)
-        assert count == np.count_nonzero(ref < r_tr)
-
-
-@pytest.mark.parametrize("scale", [1e12, 1e16])
-@pytest.mark.parametrize("n_rx, n_tx", [(4, 2), (3, 1), (4, 3)])
-def test_block_capacities_rank_deficient_links(n_rx, n_tx, scale):
-    # H H^H has rank n_tx < n_rx; the oracle is the complex det of the
-    # full-rank n_tx x n_tx Gram I + g H^H H (Sylvester's identity)
-    n, seed = 2000, (n_rx, n_tx, 7)
-    got = block_capacities(np.random.default_rng(seed), n, n_rx, n_tx, scale)
-    z = np.random.default_rng(seed).standard_normal((2, n, n_rx, n_tx))
-    H = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-    gram = np.eye(n_tx) + scale * np.einsum("nji,njk->nik", H.conj(), H)
-    want = np.log2(np.linalg.det(gram).real)
-    assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("m", ANTENNAS)
+def test_count_block_matches_complex_reference(m, n):
+    # a full block 0 and a last block 1 of n trials, each from its own seed
+    p_mimo, seed, trials = 12.0, 31, BLOCK_SIZE + n
+    ref = [_reference_capacities(np.random.default_rng((seed, b)), size, m,
+                                 p_mimo / m)
+           for b, size in enumerate((BLOCK_SIZE, n))]
+    for r_tr in (0.25, 1.0, 3.0, 6.0, float(np.median(ref[1]))):
+        cfg = MimoConfig(m=m, p_mimo=p_mimo, sigma_n2=1.0, r_tr=r_tr,
+                         trials=trials, seed=seed)
+        want = sum(np.count_nonzero(block < r_tr) for block in ref)
+        assert mimo_outage(cfg).probability == want / trials
 
 
 def test_mimo_outage_zero_rate():
@@ -108,7 +97,7 @@ def test_mimo_outage_zero_rate():
 
 def test_mimo_outage_1x1_exponential_oracle():
     # p/sigma^2 = 1: P(log2(1+|h|^2) < 1) = P(|h|^2 < 1) = 1 - e^-1
-    cfg = MimoConfig(n_tx=1, n_rx=1, p_mimo=1.0, sigma_n2=1.0, r_tr=1.0,
+    cfg = MimoConfig(m=1, p_mimo=1.0, sigma_n2=1.0, r_tr=1.0,
                      trials=1_000_000, seed=55)
     est = mimo_outage(cfg)
     expect = 1.0 - math.exp(-1.0)
@@ -134,7 +123,7 @@ def test_mimo_outage_monotone_same_seed():
 
 def test_mimo_config_validation():
     with pytest.raises(ValueError):
-        MimoConfig(n_tx=0)
+        MimoConfig(m=0)
     with pytest.raises(ValueError):
         MimoConfig(p_mimo=-1.0)
     with pytest.raises(ValueError):
@@ -168,16 +157,14 @@ def gap_thresholds(values, count=9):
     return gaps[::max(1, len(gaps) // count)]
 
 
-# Edges of the chunked draw (chunks of CHUNK // (n_rx*n_tx) trials): one
-# trial, one trial more than a chunk, and a short last chunk, for a square
-# link and for a rank-deficient one, which factors H^H
+# Edges of the chunked draw (chunks of CHUNK // m**2 trials): one trial, one
+# trial more than a chunk, and a short last chunk
 @pytest.mark.parametrize("n", [1, 3641, 8192])
-@pytest.mark.parametrize("n_rx, n_tx", [(3, 3), (4, 2)])
-def test_block_capacities_chunk_edges(n_rx, n_tx, n):
-    seed = (n_rx, n_tx, n, 5)
-    ref = _reference_capacities(np.random.default_rng(seed), n, n_rx, n_tx,
-                                5.0)
-    got = block_capacities(np.random.default_rng(seed), n, n_rx, n_tx, 5.0)
+@pytest.mark.parametrize("m", _links(3))
+def test_block_capacities_chunk_edges(m, n):
+    seed = (m, m, n, 5)
+    ref = _reference_capacities(np.random.default_rng(seed), n, m, 5.0)
+    got = block_capacities(np.random.default_rng(seed), n, m, 5.0)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     for r_tr in gap_thresholds(ref):
         assert np.count_nonzero(got < r_tr) == np.count_nonzero(ref < r_tr)
@@ -190,13 +177,11 @@ def test_mimo_config_rejects_overflowing_rate(r_tr):
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", 0])
-@pytest.mark.parametrize("field", ["n_tx", "n_rx"])
-def test_mimo_config_rejects_non_integer_antenna_counts(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
-        MimoConfig(**{field: value})
+def test_mimo_config_rejects_non_integer_antenna_counts(value):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        MimoConfig(m=value)
 
 
 def test_mimo_config_accepts_numpy_integer_antenna_counts():
-    cfg = MimoConfig(n_tx=np.int64(2), n_rx=np.int32(3), trials=500)
-    assert mimo_outage(cfg) == mimo_outage(MimoConfig(n_tx=2, n_rx=3,
-                                                      trials=500))
+    cfg = MimoConfig(m=np.int64(2), trials=500)
+    assert mimo_outage(cfg) == mimo_outage(MimoConfig(m=2, trials=500))

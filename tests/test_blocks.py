@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coopbeam import _blocks
+from coopbeam import _blocks, baseline, outage
 from coopbeam._blocks import parallel_count
 from coopbeam.baseline import MimoConfig, block_capacities, mimo_outage
 from coopbeam.channel import exponential_correlation
@@ -33,8 +33,8 @@ BLOCKS = {
     "frobenius-small": (block_gains, (7, 1, 1, "frobenius")),
     "vector-big": (block_gains, (8192, 4, 6, "vector", None)),
     "vector-small": (block_gains, (33, 3, 2, "vector", C3)),
-    "mimo-big": (block_capacities, (8192, 4, 4, 20.0)),
-    "mimo-small": (block_capacities, (5, 3, 2, 2.0)),
+    "mimo-big": (block_capacities, (8192, 4, 20.0)),
+    "mimo-small": (block_capacities, (5, 2, 2.0)),
 }
 
 
@@ -107,7 +107,7 @@ N = 8192
     (block_gains, (N, 3, 12, "frobenius")),
     (block_gains, (N, 3, 12, "frobenius", C3)),
     (block_gains, (N, 3, 5, "vector", C3)),
-    (block_capacities, (N, 3, 3, 10.0)),
+    (block_capacities, (N, 3, 10.0)),
 ], ids=["frobenius", "frobenius-corr", "vector-corr", "mimo3x3"])
 def test_warm_block_allocates_about_its_result(kernel, args):
     kernel(np.random.default_rng(1), *args)
@@ -188,6 +188,41 @@ def test_parallel_count_runs_one_thread_in_place(recording_pool,
     assert parallel_count(lambda b, n: n, 12 * 8192, 8) == 12 * 8192
     assert parallel_count(lambda b, n: n, 0, 8) == 0
     assert recording_pool == []
+
+
+def test_estimators_count_through_their_module_parallel_count(monkeypatch):
+    # bench/tracer.py wraps outage.parallel_count, baseline.parallel_count and
+    # the count_block(b, n) handed to them: each estimator must look the name
+    # up at call time, pass it (count_block, trials, workers), and take the
+    # sum of what its blocks return
+    calls = []
+
+    def recording(inner, name):
+        def parallel_count(count_block, trials, workers):
+            blocks = []
+
+            def block(b, n):
+                blocks.append(b)
+                return count_block(b, n)
+
+            total = inner(block, trials, workers)
+            calls.append((name, trials, workers, sorted(blocks)))
+            return total
+        return parallel_count
+
+    runs = [
+        (outage, monte_carlo_outage,
+         OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
+                      trials=9000, seed=3)),
+        (baseline, mimo_outage, MimoConfig(trials=9000, seed=3)),
+    ]
+    for module, estimate, cfg in runs:
+        want = estimate(cfg, workers=2)
+        monkeypatch.setattr(module, "parallel_count",
+                            recording(module.parallel_count, module.__name__))
+        assert estimate(cfg, workers=2) == want
+    assert calls == [("coopbeam.outage", 9000, 2, [0, 1]),
+                     ("coopbeam.baseline", 9000, 2, [0, 1])]
 
 
 def _sweep_cfg(experiment):

@@ -2,8 +2,8 @@
 or a positive physical value.
 
 A size (antenna, node or trial count) must be an integer >= 1, and a
-positive value (power, rate, noise variance, gamma shape) must be finite
-and > 0.  Nothing here draws a Monte Carlo trial.
+positive value (power, rate, noise variance, gamma shape) must be a finite
+number > 0.  Nothing here draws a Monte Carlo trial.
 """
 
 import math
@@ -27,7 +27,7 @@ ENTRY_POINTS = [
     (OutageConfig, dict(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
                         trials=100),
      ("p2", "sigma_n2"), ("m", "k", "trials")),
-    (MimoConfig, dict(), ("p_mimo", "sigma_n2"), ("n_tx", "n_rx", "trials")),
+    (MimoConfig, dict(), ("p_mimo", "sigma_n2"), ("m", "trials")),
     (split, dict(p_total=60.0, alpha=0.3), ("p_total",), ()),
     (cluster_size, dict(alpha=0.3, p_total=60.0, p_s=4.0),
      ("p_total", "p_s"), ()),
@@ -43,7 +43,8 @@ ENTRY_POINTS = [
 
 NOT_POSITIVE = st.one_of(st.floats(max_value=0.0),
                          st.sampled_from([math.nan, math.inf]),
-                         st.integers(-10**9, 0), st.booleans())
+                         st.integers(-10**9, 0), st.booleans(), st.none(),
+                         st.text(max_size=3))
 # every float is rejected as a size, 3.0 included; the floats stay small so
 # that code which took one as a size would still build only a small array
 NOT_A_SIZE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 2.5]),
@@ -87,6 +88,19 @@ DRIFT = {
         experiment="snr_sweep", snr_db_grid="12"),
     "ExperimentConfig snr_db_grid=[True]": lambda: ExperimentConfig(
         experiment="snr_sweep", snr_db_grid=[True]),
+    "ExperimentConfig snr_db_grid=b'12'": lambda: ExperimentConfig(
+        experiment="snr_sweep", snr_db_grid=b"12"),
+    "ExperimentConfig snr_db_grid=['4']": lambda: ExperimentConfig(
+        experiment="snr_sweep", snr_db_grid=["4"]),
+    "ExperimentConfig r_tr='3'": lambda: ExperimentConfig(
+        experiment="alpha_sweep", r_tr="3"),
+    "ExperimentConfig p_total=None": lambda: ExperimentConfig(
+        experiment="alpha_sweep", p_total=None),
+    "split p_total='60'": lambda: split("60", 0.3),
+    "MimoConfig p_mimo='60'": lambda: MimoConfig(p_mimo="60"),
+    "OutageConfig correlation=ndarray": lambda: OutageConfig(
+        r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5, trials=100,
+        correlation=exponential_correlation(3, 0.5).entries),
     "OutageConfig r_tr=True": lambda: OutageConfig(
         r_tr=True, p2=True, sigma_n2=True, m=3, k=5, trials=10),
     "OutageConfig p2=10**400": lambda: OutageConfig(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from coopbeam.channel import exponential_correlation
 from coopbeam.outage import (
     OutageConfig,
-    _count_block_factory,
     analytical_outage,
     block_gains,
     monte_carlo_outage,
@@ -454,11 +453,12 @@ def test_count_block_is_gains_below_threshold(gain_mode):
                        trials=9000, seed=(4, 2), gain_mode=gain_mode,
                        correlation=exponential_correlation(3, 0.5))
     tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
-    count_block = _count_block_factory(cfg, tau)
+    want = 0
     for b, n in ((0, 8192), (1, 808)):
-        want = _reference_gains(np.random.default_rng([4, 2, b]), n, 3, 5,
-                                gain_mode, cfg.correlation.entries)
-        assert count_block(b, n) == np.count_nonzero(want < tau)
+        gains = _reference_gains(np.random.default_rng([4, 2, b]), n, 3, 5,
+                                 gain_mode, cfg.correlation.entries)
+        want += np.count_nonzero(gains < tau)
+    assert monte_carlo_outage(cfg).probability == want / cfg.trials
 
 
 # Vector-mode gains without correlation, and frobenius gains at K = 1, are
