@@ -47,12 +47,12 @@ def test_capacity_unitary_invariance():
             _capacity(H, p / 3.0), rel=1e-10)
 
 
-def _reference_capacities(rng, n, m, scale):
+def _reference_capacities(rng, n, n_rx, n_tx, scale):
     """The complex MIMO block the real kernel replaced: einsum Gram, slogdet."""
-    re = rng.standard_normal((n, m, m))
-    im = rng.standard_normal((n, m, m))
+    re = rng.standard_normal((n, n_rx, n_tx))
+    im = rng.standard_normal((n, n_rx, n_tx))
     H = (re + 1j * im) / np.sqrt(2.0)
-    gram = np.eye(m) + scale * np.einsum("nij,nkj->nik", H, H.conj())
+    gram = np.eye(n_rx) + scale * np.einsum("nij,nkj->nik", H, H.conj())
     _, logdet = np.linalg.slogdet(gram)
     return logdet / math.log(2.0)
 
@@ -67,11 +67,21 @@ ANTENNAS = _links(1, 2, 3, 4)
 
 @pytest.mark.parametrize("n", [8192, 3616])
 @pytest.mark.parametrize("scale", [0.5, 5.0, 40.0])
-@pytest.mark.parametrize("m", ANTENNAS)
-def test_block_capacities_match_complex_reference(m, scale, n):
-    seed = (m, m, n)
-    ref = _reference_capacities(np.random.default_rng(seed), n, m, scale)
-    got = block_capacities(np.random.default_rng(seed), n, m, scale)
+@pytest.mark.parametrize("n_tx", (1, 2, 3, 4))
+@pytest.mark.parametrize("n_rx", (1, 2, 3, 4))
+def test_block_capacities_match_complex_reference(n_rx, n_tx, scale, n):
+    # block_capacities draws the square link; its kernel _log_det builds the
+    # Gram of H's rows, so an n_rx x n_tx link checks the kernel alone on
+    # the reference's own draws
+    seed = (n_rx, n_tx, n)
+    ref = _reference_capacities(np.random.default_rng(seed), n, n_rx, n_tx,
+                                scale)
+    if n_rx == n_tx:
+        got = block_capacities(np.random.default_rng(seed), n, n_rx, scale)
+    else:
+        z = np.random.default_rng(seed).standard_normal((2, n, n_rx, n_tx))
+        got = _log_det(np.moveaxis(z[0], 0, -1), np.moveaxis(z[1], 0, -1),
+                       scale / 2.0) / math.log(2.0)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
@@ -81,7 +91,7 @@ def test_count_block_matches_complex_reference(m, n):
     # a full block 0 and a last block 1 of n trials, each from its own seed
     p_mimo, seed, trials = 12.0, 31, BLOCK_SIZE + n
     ref = [_reference_capacities(np.random.default_rng((seed, b)), size, m,
-                                 p_mimo / m)
+                                 m, p_mimo / m)
            for b, size in enumerate((BLOCK_SIZE, n))]
     for r_tr in (0.25, 1.0, 3.0, 6.0, float(np.median(ref[1]))):
         cfg = MimoConfig(m=m, p_mimo=p_mimo, sigma_n2=1.0, r_tr=r_tr,
@@ -163,7 +173,7 @@ def gap_thresholds(values, count=9):
 @pytest.mark.parametrize("m", _links(3))
 def test_block_capacities_chunk_edges(m, n):
     seed = (m, m, n, 5)
-    ref = _reference_capacities(np.random.default_rng(seed), n, m, 5.0)
+    ref = _reference_capacities(np.random.default_rng(seed), n, m, m, 5.0)
     got = block_capacities(np.random.default_rng(seed), n, m, 5.0)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     for r_tr in gap_thresholds(ref):
