@@ -10,11 +10,7 @@ uncorrelated and correlated Rayleigh channels.
 """
 
 from ._version import __version__
-from .channel import (
-    CorrelationMatrix,
-    correlation_level,
-    exponential_correlation,
-)
+from .channel import CorrelationMatrix, exponential_correlation
 from .outage import (
     OutageConfig,
     OutageEstimate,
@@ -55,7 +51,6 @@ __all__ = [
     "broadcast_feasible",
     "broadcast_power_bound",
     "cluster_size",
-    "correlation_level",
     "exponential_correlation",
     "mimo_outage",
     "monte_carlo_outage",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +111,12 @@ class OutageEstimate:
     probability: float
     trials: int
     std_error: float
-    threshold: float
 
     @classmethod
-    def from_count(cls, count: int, trials: int, threshold: float):
+    def from_count(cls, count: int, trials: int):
         """p = count / trials with its binomial standard error."""
         p = count / trials
-        return cls(p, trials, math.sqrt(p * (1.0 - p) / trials), threshold)
+        return cls(p, trials, math.sqrt(p * (1.0 - p) / trials))
 
 
 def chunks(n: int, row_size: int):
@@ -177,9 +175,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The process's pool of `threads` threads, made on first use, so that
-    worker threads and their workspaces last from one point to the next."""
+def _pool(threads: int):
+    """The process's ThreadPoolExecutor of `threads` threads, made on first
+    use, so that worker threads and their workspaces last from one point to
+    the next.  concurrent.futures is imported here, so a run whose points
+    all take one thread never loads it."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with _pools_lock:
         if threads not in _pools:
             _pools[threads] = ThreadPoolExecutor(max_workers=threads)

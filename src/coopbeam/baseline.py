@@ -43,45 +43,48 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
 
     hr and hi are (m, m, n): entry (i, j) of every trial's H is a length-n
     vector.  Only the lower triangle of the Hermitian matrix is built, as
-    real and imaginary n-vectors, and an unpivoted LDL^H elimination runs
-    over it.  Every eigenvalue of the matrix is >= 1, so no pivoting is
-    needed; the log det is the sum of the logs of the pivots.
+    real and imaginary n-vectors packed into one (m, m, n) array ``a``: the
+    real part of entry (i, k), k <= i, is a[i, k] and its imaginary part,
+    for k < i, is a[k, i] in the otherwise unused upper triangle.  An
+    unpivoted LDL^H elimination runs over it.  Every eigenvalue of the
+    matrix is >= 1, so no pivoting is needed; the log det is the sum of the
+    logs of the pivots.
     The matrix, the pivot rows and the result live in this thread's
     workspace: the result is a view that the next call overwrites.
     """
     m, n = hr.shape[0], hr.shape[2]
-    re, im = workspace("gram", (2, m, m, n))
+    a = workspace("gram", (m, m, n))
     t, s = workspace("terms", (2, n))
     for i in range(m):
         for k in range(i + 1):
             # (H H^H)[i, k] = sum_j H[i, j] * conj(H[k, j])
-            r = np.einsum("jn,jn->n", hr[i], hr[k], out=re[i, k])
+            r = np.einsum("jn,jn->n", hr[i], hr[k], out=a[i, k])
             r += np.einsum("jn,jn->n", hi[i], hi[k], out=t)
             r *= g
             if i == k:
                 r += 1.0
             else:
-                q = np.einsum("jn,jn->n", hi[i], hr[k], out=im[i, k])
+                q = np.einsum("jn,jn->n", hi[i], hr[k], out=a[k, i])
                 q -= np.einsum("jn,jn->n", hr[i], hi[k], out=t)
                 q *= g
-    logdet = np.log(re[0, 0], out=workspace("logdet", (n,)))
+    logdet = np.log(a[0, 0], out=workspace("logdet", (n,)))
     inv, lr, li = workspace("pivot", (3, n))
     for j in range(m - 1):
-        np.divide(1.0, re[j, j], out=inv)
+        np.divide(1.0, a[j, j], out=inv)
         for i in range(j + 1, m):
             # A[i, k] -= l * conj(A[k, j]) with l = A[i, j] / A[j, j]
-            np.multiply(re[i, j], inv, out=lr)
-            np.multiply(im[i, j], inv, out=li)
+            np.multiply(a[i, j], inv, out=lr)
+            np.multiply(a[j, i], inv, out=li)
             for k in range(j + 1, i + 1):
-                br, bi = re[k, j], im[k, j]
+                br, bi = a[k, j], a[j, k]
                 np.multiply(lr, br, out=t)
                 t += np.multiply(li, bi, out=s)
-                re[i, k] -= t
+                a[i, k] -= t
                 if k < i:
                     np.multiply(li, br, out=t)
                     t -= np.multiply(lr, bi, out=s)
-                    im[i, k] -= t
-        logdet += np.log(re[j + 1, j + 1], out=t)
+                    a[k, i] -= t
+        logdet += np.log(a[j + 1, j + 1], out=t)
     return logdet
 
 
@@ -105,12 +108,11 @@ def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
     """Monte Carlo P(capacity < r_tr) for the equal-power MIMO link.
 
     Strict-inequality counting, same block-deterministic seeding contract as
-    the beamforming estimator.  The returned threshold field carries r_tr
-    (a rate, not a gain — the capacity statistic is compared directly).
+    the beamforming estimator: the capacity is compared with r_tr directly.
     """
     scale = cfg.p_mimo / (cfg.m * cfg.sigma_n2)
     count_block = seeded_counter(
         cfg.seed, lambda rng, n: block_capacities(rng, n, cfg.m, scale),
         cfg.r_tr)
     count = parallel_count(count_block, cfg.trials, workers)
-    return OutageEstimate.from_count(count, cfg.trials, cfg.r_tr)
+    return OutageEstimate.from_count(count, cfg.trials)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +17,9 @@ class CorrelationMatrix:
 
     Built from (m, r) alone, so ``entries`` is finite, symmetric, positive
     semidefinite and has a unit diagonal; r = 0 gives the identity.
-    ``entries`` is read-only, ``level`` is its ``correlation_level``, and
-    matrices with equal (m, r) compare and hash equal.
+    ``entries`` is read-only, and matrices with equal (m, r) compare and
+    hash equal.  ``level`` is the off-diagonal to diagonal Frobenius norm
+    ratio ||C - I||_F / sqrt(m).
     """
 
     m: int
@@ -35,26 +37,10 @@ class CorrelationMatrix:
                    ** np.abs(idx[:, None] - idx[None, :]))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "level", correlation_level(entries))
+        object.__setattr__(self, "level", float(
+            np.linalg.norm(entries - np.eye(self.m)) / math.sqrt(self.m)))
 
 
 def exponential_correlation(m: int, r: float) -> CorrelationMatrix:
     """The exponential correlation model C[i, j] = r^|i-j| of m antennas."""
     return CorrelationMatrix(m, r)
-
-
-def correlation_level(c: np.ndarray) -> float:
-    """Off-diagonal to diagonal Frobenius norm ratio of a square matrix.
-
-    level = ||C - diag(C)||_F / ||diag(C)||_F.  Zero for any diagonal matrix,
-    1.0 for the all-ones matrix.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"C must be square, got shape {c.shape}")
-    diag = np.diag(c)
-    denom = np.linalg.norm(diag)
-    if denom == 0.0:
-        raise ZeroDivisionError("correlation level undefined: all-zero diagonal")
-    off = c - np.diag(diag)
-    return float(np.linalg.norm(off) / denom)

@@ -431,7 +431,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     }
     est = pt.estimate
     if est is not None:
-        report["threshold"] = est.threshold
+        report["threshold"] = outage_threshold(cfg.r_tr, pt.alloc.p2, sigma_n2)
         report["p_out_mc"] = est.probability
         report["std_err"] = est.std_error
         for variant in BOUND_VARIANTS:

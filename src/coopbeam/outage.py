@@ -203,7 +203,7 @@ def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
         lambda rng, n: block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C),
         tau)
     count = parallel_count(count_block, cfg.trials, workers)
-    return OutageEstimate.from_count(count, cfg.trials, tau)
+    return OutageEstimate.from_count(count, cfg.trials)
 
 
 def _not_converged(s: float, x: float) -> ArithmeticError:

@@ -5,9 +5,13 @@ before, must be a new array, and a warm call must allocate little more than
 that array.
 """
 
+import concurrent.futures
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from coopbeam.harness import (
     run_snr_sweep,
 )
 from coopbeam.outage import OutageConfig, block_gains, monte_carlo_outage
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 C3 = exponential_correlation(3, 0.5).entries
 
@@ -123,6 +129,16 @@ def test_warm_block_allocates_about_its_result(kernel, args):
     assert peak <= 4 * N * 8
 
 
+@pytest.mark.parametrize("m, n", [(1, 7), (3, 8192), (4, 3616)])
+def test_mimo_gram_is_one_m_by_m_buffer(m, n):
+    # the Hermitian Gram packs its imaginary parts into the upper triangle
+    def gram_size():
+        block_capacities(np.random.default_rng(m), n, m, 10.0)
+        return _blocks._workspace.__dict__["gram"].size
+
+    assert _in_new_thread(gram_size) == m * m * n
+
+
 # ------------------------------------------------------------------ workers
 
 BAD_WORKERS = [0, -3, True, 1.5, "2", None]
@@ -153,7 +169,7 @@ def recording_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(_blocks, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(_blocks, "_pools", {})
     return sizes
 
@@ -188,6 +204,22 @@ def test_parallel_count_runs_one_thread_in_place(recording_pool,
     assert parallel_count(lambda b, n: n, 12 * 8192, 8) == 12 * 8192
     assert parallel_count(lambda b, n: n, 0, 8) == 0
     assert recording_pool == []
+
+
+def test_one_worker_point_never_loads_the_pool(tmp_path):
+    # a fresh interpreter, so no other test has imported concurrent.futures
+    script = ("import sys\n"
+              "from coopbeam.cli import main\n"
+              "main(sys.argv[1:])\n"
+              "print('concurrent.futures' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "point", "--alpha", "0.3",
+         "--snr-db", "6", "--trials", str(2 * _blocks.BLOCK_SIZE),
+         "--workers", "1", "--out", str(tmp_path / "point.txt")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_estimators_count_through_their_module_parallel_count(monkeypatch):

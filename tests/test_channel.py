@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbeam.channel import (
-    CorrelationMatrix,
-    correlation_level,
-    exponential_correlation,
-)
+from coopbeam.channel import CorrelationMatrix, exponential_correlation
+
+
+def closed_form_level(m, r):
+    # ||C - I||_F^2 counts 2 (m - d) entries r^d at each distance d >= 1
+    return math.sqrt(2.0 * sum((m - d) * r ** (2 * d) for d in range(1, m))
+                     / m)
 
 
 def test_exponential_correlation_r0_identity():
@@ -23,7 +27,7 @@ def test_exponential_correlation_direct_2x2():
 
 def test_exponential_correlation_stores_matching_level():
     C = exponential_correlation(3, 0.5)
-    assert C.level == correlation_level(C.entries)
+    assert C.level == pytest.approx(closed_form_level(3, 0.5), rel=1e-14)
     # PSD by construction
     assert np.all(np.linalg.eigvalsh(C.entries) > -1e-12)
 
@@ -65,7 +69,8 @@ def test_exponential_correlation_is_a_correlation_matrix(m, r):
     assert np.array_equal(C.entries, C.entries.T)
     assert np.all(np.diag(C.entries) == 1.0)
     assert np.linalg.eigvalsh(C.entries)[0] >= -1e-12
-    assert C.level == correlation_level(C.entries)
+    assert C.level == pytest.approx(closed_form_level(m, r), rel=1e-13,
+                                    abs=1e-300)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
@@ -76,46 +81,25 @@ def test_exponential_correlation_builds_for_every_r(m):
 
 
 def test_level_hand_values():
-    # ||C - diag||_F / ||diag||_F worked by hand
-    assert correlation_level([[1.0, 0.5], [0.5, 1.0]]) == pytest.approx(
-        np.sqrt(0.5) / np.sqrt(2.0), abs=1e-15)
-    assert correlation_level([[1.0, 1.0], [1.0, 1.0]]) == pytest.approx(
-        1.0, abs=1e-15)
+    # ||C - I||_F / sqrt(m) worked by hand: sqrt(2 * 0.25) / sqrt(2)
+    assert exponential_correlation(2, 0.5).level == pytest.approx(
+        0.5, abs=1e-15)
+    assert exponential_correlation(1, 0.5).level == 0.0
 
 
 def test_level_matches_independent_norms():
-    C = exponential_correlation(4, 0.6).entries
-    off = C - np.diag(np.diag(C))
-    expect = np.sqrt((off ** 2).sum()) / np.sqrt((np.diag(C) ** 2).sum())
-    assert correlation_level(C) == pytest.approx(expect, rel=1e-14)
-
-
-def test_level_non_square_raises():
-    with pytest.raises(ValueError, match="square"):
-        correlation_level(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
-
-def test_level_zero_diagonal_raises():
-    with pytest.raises(ZeroDivisionError):
-        correlation_level([[0.0, 1.0], [1.0, 0.0]])
+    C = exponential_correlation(4, 0.6)
+    off = C.entries - np.diag(np.diag(C.entries))
+    expect = (np.sqrt((off ** 2).sum())
+              / np.sqrt((np.diag(C.entries) ** 2).sum()))
+    assert C.level == pytest.approx(expect, rel=1e-14)
 
 
 @pytest.mark.properties
 @given(m=st.integers(1, 8))
 @settings(deadline=None)
 def test_level_identity_is_zero(m):
-    assert correlation_level(np.eye(m)) == 0.0
-
-
-@pytest.mark.properties
-@given(r=st.floats(0.05, 0.9), m=st.integers(2, 6), seed=st.integers(0, 99))
-@settings(deadline=None, max_examples=40)
-def test_level_permutation_invariant(r, m, seed):
-    C = exponential_correlation(m, r).entries
-    perm = np.random.default_rng(seed).permutation(m)
-    P = np.eye(m)[perm]
-    assert correlation_level(P @ C @ P.T) == pytest.approx(
-        correlation_level(C), rel=1e-12)
+    assert CorrelationMatrix(m, 0.0).level == 0.0
 
 
 @pytest.mark.properties

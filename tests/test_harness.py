@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbeam.channel import correlation_level, exponential_correlation
+from coopbeam.channel import exponential_correlation
 from coopbeam.harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -299,7 +299,8 @@ def test_corr_sweep_rho_column_consistency():
                            "std_err")
     assert [row[1] for row in res.rows] == [0.0, 0.25, 0.5, 0.75]
     for row in res.rows:
-        expect = correlation_level(exponential_correlation(3, row[1]).entries)
+        # ||C - I||_F / sqrt(3) for the 3 x 3 exponential matrix
+        expect = math.sqrt(2.0 * (2 * row[1] ** 2 + row[1] ** 4) / 3.0)
         assert row[2] == pytest.approx(expect, rel=1e-12)
     assert res.rows[0][2] == 0.0
 
