@@ -37,8 +37,11 @@ class CorrelationMatrix:
                    ** np.abs(idx[:, None] - idx[None, :]))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+        # scale by 2**-e, exactly, so r**2 cannot underflow inside the norm
+        e = math.frexp(self.r)[1]
+        norm = np.linalg.norm(np.ldexp(entries - np.eye(self.m), -e))
         object.__setattr__(self, "level", float(
-            np.linalg.norm(entries - np.eye(self.m)) / math.sqrt(self.m)))
+            np.ldexp(norm, e) / math.sqrt(self.m)))
 
 
 def exponential_correlation(m: int, r: float) -> CorrelationMatrix:

@@ -9,9 +9,10 @@ from coopbeam.channel import CorrelationMatrix, exponential_correlation
 
 
 def closed_form_level(m, r):
-    # ||C - I||_F^2 counts 2 (m - d) entries r^d at each distance d >= 1
-    return math.sqrt(2.0 * sum((m - d) * r ** (2 * d) for d in range(1, m))
-                     / m)
+    # ||C - I||_F^2 counts 2 (m - d) entries r^d at each distance d >= 1;
+    # r is factored out so that r^2 cannot underflow for tiny r
+    return r * math.sqrt(2.0 * sum((m - d) * r ** (2 * d - 2)
+                                   for d in range(1, m)) / m)
 
 
 def test_exponential_correlation_r0_identity():
@@ -85,6 +86,14 @@ def test_level_hand_values():
     assert exponential_correlation(2, 0.5).level == pytest.approx(
         0.5, abs=1e-15)
     assert exponential_correlation(1, 0.5).level == 0.0
+
+
+@pytest.mark.parametrize("m, r", [(3, 3.411798443255226e-159), (4, 1e-170),
+                                  (8, 1e-300), (2, 5e-324)])
+def test_level_of_tiny_r_does_not_underflow(m, r):
+    # r**2 is subnormal or zero here; the level is still r * sqrt(2(m-1)/m)
+    assert exponential_correlation(m, r).level == pytest.approx(
+        closed_form_level(m, r), rel=1e-13, abs=1e-320)
 
 
 def test_level_matches_independent_norms():
