@@ -97,6 +97,14 @@ def workspace(name: str, shape) -> np.ndarray:
     Its contents are undefined, and it stays valid until this thread next
     asks for the same name.  Each name's buffer grows on demand and is kept
     for the life of the thread.
+
+    A name is a role, not one kernel's array, so that a thread running
+    several kernels keeps one buffer per role: "channel" holds a block's
+    whole channel (the vector draw, the MIMO copy), "chunk" one chunk of a
+    chunked draw, and "acc" a block's accumulator (the frobenius column
+    norms, the MIMO Gram).  Under the rule above, a kernel may also take
+    scratch from a buffer whose contents it no longer needs, as the MIMO
+    log-det does from "chunk" and "channel".
     """
     buffers = _workspace.__dict__
     size = math.prod(shape)

@@ -49,12 +49,17 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
     unpivoted LDL^H elimination runs over it.  Every eigenvalue of the
     matrix is >= 1, so no pivoting is needed; the log det is the sum of the
     logs of the pivots.
-    The matrix, the pivot rows and the result live in this thread's
-    workspace: the result is a view that the next call overwrites.
+    Every array lives in this thread's workspace, in buffers that
+    block_capacities is done with: the matrix in "acc", the two product
+    temporaries in the draw's "chunk", and, once the matrix is built, the
+    result and the pivot lanes (1 / pivot and the two parts of a
+    multiplier) in four n-vectors of "channel".  So hr and hi are not read
+    after the build, and the result is a view that the next call
+    overwrites.
     """
     m, n = hr.shape[0], hr.shape[2]
-    a = workspace("gram", (m, m, n))
-    t, s = workspace("terms", (2, n))
+    a = workspace("acc", (m, m, n))
+    t, s = workspace("chunk", (2, n))
     for i in range(m):
         for k in range(i + 1):
             # (H H^H)[i, k] = sum_j H[i, j] * conj(H[k, j])
@@ -67,8 +72,8 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
                 q = np.einsum("jn,jn->n", hi[i], hr[k], out=a[k, i])
                 q -= np.einsum("jn,jn->n", hr[i], hi[k], out=t)
                 q *= g
-    logdet = np.log(a[0, 0], out=workspace("logdet", (n,)))
-    inv, lr, li = workspace("pivot", (3, n))
+    logdet, inv, lr, li = workspace("channel", (4, n))
+    np.log(a[0, 0], out=logdet)
     for j in range(m - 1):
         np.divide(1.0, a[j, j], out=inv)
         for i in range(j + 1, m):
@@ -94,11 +99,12 @@ def block_capacities(rng: np.random.Generator, n: int, m: int,
 
     Draw order: the channel's real parts, then its imaginary parts, as
     ``(n, m, m)`` standard normals each.  They come from channel_halves and
-    are copied into this thread's entry-major (2, m, m, n) workspace.  The
-    model is H = (re + j*im) / sqrt(2), and the capacity is
-    log2 det(I + scale * H H^H); the 1/sqrt(2) is folded into scale / 2.
+    are copied into this thread's entry-major (2, m, m, n) "channel"
+    buffer, which _log_det then reuses.  The model is H = (re + j*im) /
+    sqrt(2), and the capacity is log2 det(I + scale * H H^H); the 1/sqrt(2)
+    is folded into scale / 2.
     """
-    h = workspace("entries", (2, m, m, n))
+    h = workspace("channel", (2, m, m, n))
     for half, start, stop, z in channel_halves(rng, n, (m, m)):
         h[half, ..., start:stop] = np.moveaxis(z, 0, -1)
     return _log_det(h[0], h[1], scale / 2.0) / _LN2

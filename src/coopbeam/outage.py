@@ -103,11 +103,11 @@ def _frobenius_power(rng, n, m, k, C, power, norm) -> None:
     """Frobenius-mode power and weight norm of n trials, into power and norm.
 
     Streams the channel's chunks from channel_halves: each is mapped by C,
-    squared and summed over antennas into an (n, k) accumulator, so a
+    squared and summed over antennas into the (n, k) "acc" buffer, so a
     column's norm is sum_m re^2 + sum_m im^2.  The amplitudes follow in
     chunks as well.
     """
-    col = workspace("col", (n, k))
+    col = workspace("acc", (n, k))
     for half, start, stop, z in channel_halves(rng, n, (m, k)):
         if C is not None:
             z = np.matmul(C, z, out=workspace("mapped", z.shape))

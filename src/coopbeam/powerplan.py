@@ -53,10 +53,12 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     require_positive(p_total=p_total, p_s=p_s)
     raw = alpha * p_total / p_s
-    k = math.floor(raw + 0.5)
+    # floor(raw + 0.5) would round 0.49999999999999994 up: the sum is 1.0
+    f = math.floor(raw)
+    k = f + (raw - f >= 0.5)
     if k < 1:
         raise InfeasibleAllocationError(
-            f"alpha*p_total/p_s = {raw:.4g} rounds to zero nodes"
+            f"alpha*p_total/p_s = {raw!r} rounds to zero nodes"
         )
     return k
 

@@ -134,9 +134,30 @@ def test_mimo_gram_is_one_m_by_m_buffer(m, n):
     # the Hermitian Gram packs its imaginary parts into the upper triangle
     def gram_size():
         block_capacities(np.random.default_rng(m), n, m, 10.0)
-        return _blocks._workspace.__dict__["gram"].size
+        return _blocks._workspace.__dict__["acc"].size
 
     assert _in_new_thread(gram_size) == m * m * n
+
+
+def test_frobenius_and_mimo_blocks_share_their_workspace():
+    # an snr-sweep thread runs both kernels; the MIMO kernel reuses the
+    # frobenius accumulator for its Gram and takes its log-det lanes from
+    # buffers it is done with, so only the frobenius-only total, power and
+    # norm are added to what the MIMO block needs
+    m, k = 3, 6
+
+    def doubles():
+        rng = np.random.default_rng(4)
+        block_gains(rng, N, m, k, "frobenius")
+        block_capacities(rng, N, m, 20.0)
+        return sum(buf.size for buf in _blocks._workspace.__dict__.values())
+
+    channel, gram = 2 * m * m * N, m * m * N
+    chunk = _blocks.CHUNK // (m * m) * m * m  # whole m x m trials
+    total = _blocks.CHUNK // (m * k) * k
+    limit = channel + gram + chunk + total + 2 * N  # + power and norm
+    assert limit == 281_248
+    assert _in_new_thread(doubles) <= limit
 
 
 # ------------------------------------------------------------------ workers
@@ -308,6 +329,6 @@ def test_worker_threads_keep_their_workspace_from_point_to_point(monkeypatch):
                            trials=4 * 8192, seed=3)
     res = run_alpha_sweep(cfg, workers=2)
     assert len(res.rows) == 6
-    # two threads, each with at most five buffers: col, chunk, total,
+    # two threads, each with at most five buffers: acc, chunk, total,
     # power and norm
     assert counting.empties <= 10

@@ -59,6 +59,13 @@ GOLDEN = {
          "--snr-db", "9", "--trials", FULL_AND_PARTIAL, "--seed", "11",
          "--workers", "2"],
         "76d347fd248cba81ed63421089703917f10a385d6250e936932d1d4eb1cf8ce9"),
+    # one thread alternates the vector and 4x4 MIMO kernels, which share
+    # their "channel" buffer at different sizes
+    "snr-vector-m4-workers1": (
+        ["snr-sweep", "--gain-mode", "vector", "--m", "4", "--snr-db", "3",
+         "--snr-db", "9", "--trials", FULL_AND_PARTIAL, "--seed", "29",
+         "--workers", "1"],
+        "a0b21dcb527a30d377a363c22ba33736cda77f54208fdc7656382b9dcf051e5c"),
     "corr-frobenius": (
         ["corr-sweep", "--snr-db", "4", "--snr-db", "8", "--corr", "0",
          "--corr", "0.5", "--corr", "0.9",

@@ -59,6 +59,9 @@ def test_cluster_size_half_rounds_away_from_zero():
 def test_cluster_size_infeasible_below_half():
     with pytest.raises(InfeasibleAllocationError):
         cluster_size(0.02, 60.0, 4.0)  # raw 0.3 rounds to zero nodes
+    with pytest.raises(InfeasibleAllocationError):
+        # the largest double below 0.5: raw + 0.5 rounds to 1.0
+        cluster_size(0.49999999999999994, 1.0, 1.0)
 
 
 @pytest.mark.properties
