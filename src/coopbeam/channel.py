@@ -44,6 +44,5 @@ class CorrelationMatrix:
             np.ldexp(norm, e) / math.sqrt(self.m)))
 
 
-def exponential_correlation(m: int, r: float) -> CorrelationMatrix:
-    """The exponential correlation model C[i, j] = r^|i-j| of m antennas."""
-    return CorrelationMatrix(m, r)
+# the model's name for the class; harness builds its matrices through it
+exponential_correlation = CorrelationMatrix

@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ._blocks import (SUBSEED_RULE, require_bool, require_finite,
+from ._blocks import (BLOCK_SIZE, SUBSEED_RULE, require_bool, require_finite,
                       require_positive, require_positive_int, seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
@@ -51,6 +51,13 @@ from .powerplan import (
     optimize_alpha,
     split,
 )
+
+# Most doubles one workspace buffer of a block may hold: 2 GiB.  The largest
+# buffer, the vector or MIMO channel, holds 2 * n * m * max(K, m) doubles; at
+# most 7.9e5 in the README, golden and benchmark runs, so a run over the limit
+# is a mistake (a budget ratio in the wrong unit, say) that would ask each
+# thread for gigabytes, and it is rejected at config time.
+MAX_BLOCK_DOUBLES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,16 @@ class ExperimentConfig:
         sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
         p2 = split(self.p_total, max(self.alpha_grid)).p2
         outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
+        try:  # the grid's largest cluster
+            k_max = cluster_size(max(self.alpha_grid), self.p_total, self.p_s)
+        except InfeasibleAllocationError:  # no point has a node
+            k_max = 0
+        doubles = (2 * min(self.trials, BLOCK_SIZE) * self.m
+                   * max(k_max, self.m))
+        if doubles > MAX_BLOCK_DOUBLES:
+            raise ValueError(
+                f"m = {self.m} and K = {k_max} need a block buffer of "
+                f"{doubles} doubles, over the limit of {MAX_BLOCK_DOUBLES}")
 
     def _grid(self, name, default):
         value = getattr(self, name)
@@ -252,37 +269,33 @@ def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
 
 
 class _Point(NamedTuple):
-    """One evaluated grid point; k = 0 and estimate None when the power
-    split rounds to zero nodes."""
+    """One evaluated grid point at noise variance sigma_n2; k = 0 and a
+    zero-trial NaN estimate when the power split rounds to zero nodes."""
 
     alloc: PowerAllocation
     k: int
     feasible: bool
-    estimate: Optional[OutageEstimate]
+    sigma_n2: float
+    estimate: OutageEstimate
 
 
 def _point(cfg: ExperimentConfig, alpha: float, snr_db: float, index: int,
            workers: int, correlation=None) -> _Point:
     """Run the Monte Carlo outage estimate of one (alpha, snr) grid point."""
     alloc = split(cfg.p_total, alpha)
+    sigma_n2 = cfg.sigma_n2_at(snr_db)
     try:
         k = cluster_size(alpha, cfg.p_total, cfg.p_s)
     except InfeasibleAllocationError:
-        return _Point(alloc, 0, False, None)
+        return _Point(alloc, 0, False, sigma_n2,
+                      OutageEstimate(math.nan, 0, math.nan))
     feasible = broadcast_feasible(alloc.p1, k, cfg.r_br, cfg.sigma_nbr2)
-    mc_cfg = OutageConfig(r_tr=cfg.r_tr, p2=alloc.p2,
-                          sigma_n2=cfg.sigma_n2_at(snr_db), m=cfg.m, k=k,
-                          trials=cfg.trials, seed=(cfg.seed, index),
-                          gain_mode=cfg.gain_mode, correlation=correlation)
-    return _Point(alloc, k, feasible,
+    mc_cfg = OutageConfig(r_tr=cfg.r_tr, p2=alloc.p2, sigma_n2=sigma_n2,
+                          m=cfg.m, k=k, trials=cfg.trials,
+                          seed=(cfg.seed, index), gain_mode=cfg.gain_mode,
+                          correlation=correlation)
+    return _Point(alloc, k, feasible, sigma_n2,
                   monte_carlo_outage(mc_cfg, workers=workers))
-
-
-def _p_se(est: Optional[OutageEstimate]) -> tuple:
-    """(probability, std_error) of an estimate, NaN for a point with no nodes."""
-    if est is None:
-        return math.nan, math.nan
-    return est.probability, est.std_error
 
 
 def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -300,10 +313,11 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     for index, (snr_db, alpha) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers)
         analytical = math.nan if pt.k == 0 else analytical_outage(
-            cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, cfg.sigma_n2_at(snr_db),
+            cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, pt.sigma_n2,
             variant=cfg.bound_variant)
         rows.append((snr_db, alpha, pt.k, int(pt.feasible),
-                     *_p_se(pt.estimate), analytical))
+                     pt.estimate.probability, pt.estimate.std_error,
+                     analytical))
     summary = {}
     for snr in dict.fromkeys(row[0] for row in rows):
         curve = [row[1:5] for row in rows if row[0] == snr]
@@ -360,7 +374,7 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                 workers=workers)
         else:
             est = _point(cfg, alpha, snr_db, index, workers).estimate
-        rows.append((snr_db, sid, *_p_se(est)))
+        rows.append((snr_db, sid, est.probability, est.std_error))
 
     def curve(sid):
         return [row[2] for row in rows if row[1] == sid]
@@ -394,7 +408,8 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     grid = itertools.product(sorted(cfg.snr_db_grid), corr)
     for index, (snr_db, (r, C)) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers, correlation=C)
-        rows.append((snr_db, r, C.level, *_p_se(pt.estimate)))
+        est = pt.estimate
+        rows.append((snr_db, r, C.level, est.probability, est.std_error))
     return _sweep_result(cfg, start, columns, rows, {"alpha": alpha},
                          {"alpha": _fmt(alpha)})
 
@@ -415,7 +430,6 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         warnings.warn("trials=1 gives a degenerate estimate (p in {0,1}, "
                       "std_err 0)")
     pt = _point(cfg, alpha, snr_db, 0, workers)
-    sigma_n2 = cfg.sigma_n2_at(snr_db)
     report = {
         "alpha": alpha,
         "snr_db": snr_db,
@@ -423,20 +437,21 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "p1": pt.alloc.p1,
         "p2": pt.alloc.p2,
         "k": pt.k,
-        "sigma_n2": sigma_n2,
+        "sigma_n2": pt.sigma_n2,
         "broadcast_bound": (broadcast_power_bound(pt.k, cfg.r_br,
                                                   cfg.sigma_nbr2)
                             if pt.k else math.inf),
         "feasible": pt.feasible,
     }
-    est = pt.estimate
-    if est is not None:
-        report["threshold"] = outage_threshold(cfg.r_tr, pt.alloc.p2, sigma_n2)
-        report["p_out_mc"] = est.probability
-        report["std_err"] = est.std_error
+    if pt.k:
+        report["threshold"] = outage_threshold(cfg.r_tr, pt.alloc.p2,
+                                               pt.sigma_n2)
+        report["p_out_mc"] = pt.estimate.probability
+        report["std_err"] = pt.estimate.std_error
         for variant in BOUND_VARIANTS:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
-                cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, sigma_n2, variant=variant)
+                cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, pt.sigma_n2,
+                variant=variant)
     report["manifest"] = _manifest(cfg, start, 1)
     _write(cfg, format_report(report))
     return report

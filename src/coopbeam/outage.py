@@ -131,21 +131,21 @@ def _vector_power(rng, n, m, k, C, power, norm) -> None:
     """Vector-mode power and weight norm of n trials, into power and norm.
 
     The phases are the last draw, so the whole channel is drawn first; every
-    array lives in the workspace.
+    array lives in the workspace.  The phase buffer "theta" holds u**2 until
+    its norm is taken and sin(theta) once cos(theta) is, so the kernel keeps
+    three (n, k) buffers: u, theta and u*cos(theta).
     """
     z = workspace("channel", (2, n, m, k))
     rng.standard_normal(out=z)
     u = workspace("u", (n, k))
     rng.random(out=u)
-    u2 = workspace("u2", (n, k))
-    np.multiply(u, u, out=u2)
-    np.einsum("nk->n", u2, out=norm)
     theta = workspace("theta", (n, k))
+    np.einsum("nk->n", np.multiply(u, u, out=theta), out=norm)
     rng.random(out=theta)
     theta *= 2.0 * np.pi
     uc = np.cos(theta, out=workspace("uc", (n, k)))
     uc *= u
-    us = np.sin(theta, out=workspace("us", (n, k)))
+    us = np.sin(theta, out=theta)
     us *= u
     zr, zi = z
     yr = np.einsum("nmk,nk->nm", zr, uc, out=workspace("yr", (n, m)))

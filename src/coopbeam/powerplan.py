@@ -47,12 +47,16 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
 
     Rounds half away from zero to the nearest integer (the quoted cluster
     sizes imply e.g. 4.5 -> 5), with a minimum of 1; a raw value below 0.5
-    cannot support even one node and raises InfeasibleAllocationError.
+    cannot support even one node and raises InfeasibleAllocationError.  A
+    raw value that overflows raises ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     require_positive(p_total=p_total, p_s=p_s)
     raw = alpha * p_total / p_s
+    if not math.isfinite(raw):
+        raise ValueError(f"alpha*p_total/p_s = {raw!r} is not finite "
+                         f"(alpha={alpha}, p_total={p_total}, p_s={p_s})")
     # floor(raw + 0.5) would round 0.49999999999999994 up: the sum is 1.0
     f = math.floor(raw)
     k = f + (raw - f >= 0.5)

@@ -160,6 +160,22 @@ def test_frobenius_and_mimo_blocks_share_their_workspace():
     assert _in_new_thread(doubles) <= limit
 
 
+def test_vector_block_keeps_three_weight_buffers():
+    # u**2 and sin(theta) go into the phase buffer, so beside the channel,
+    # the three (n, m) products, power and norm the kernel keeps only u,
+    # theta and u*cos(theta)
+    m, k = 3, 5
+
+    def doubles():
+        block_gains(np.random.default_rng(4), N, m, k, "vector")
+        return sum(buf.size for buf in _blocks._workspace.__dict__.values())
+
+    channel = 2 * N * m * k
+    limit = channel + 3 * N * k + 3 * N * m + 2 * N  # + power and norm
+    assert limit == 458_752
+    assert _in_new_thread(doubles) <= limit
+
+
 # ------------------------------------------------------------------ workers
 
 BAD_WORKERS = [0, -3, True, 1.5, "2", None]

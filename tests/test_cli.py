@@ -389,6 +389,24 @@ def test_overflowing_noise_or_threshold_exits_before_any_draw(
     assert not out.exists()
 
 
+# p_s = p_total / ratio is the subnormal 5e-324 in the first run, so its
+# cluster size overflows; the second's 5,000,000 nodes would need a 305 GiB
+# block buffer
+@pytest.mark.parametrize("argv, message", [
+    (["point", "--alpha", "0.99", "--snr-db", "4", "--p-total", "1e-15",
+      "--ratio-ptotal-ps", "1.7e308", "--trials", "10"], "is not finite"),
+    (["point", "--alpha", "0.5", "--snr-db", "4",
+      "--ratio-ptotal-ps", "1e7"], "over the limit"),
+], ids=["overflowing-k", "huge-k"])
+def test_cluster_size_is_checked_before_any_draw(argv, message, tmp_path,
+                                                 capsys, no_draws):
+    out = tmp_path / "never.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 # tau is about 5.1e307 and 6.2e307: finite, with the chi-square bound at 1;
 # the sweep used to exit 2 and the point to die in regularized_lower_gamma
 @pytest.mark.parametrize("argv, code, line", [

@@ -86,6 +86,17 @@ GOLDEN = {
          "--snr-db", "6", "--snr-db", "9", "--rbr", "2.5",
          "--sigma-nbr2", "0.7", "--trials", FULL_AND_PARTIAL, "--seed", "7"],
         "c8f0232e965de7016044106f308c6527881e1fa516d2a967a569260579e81d67"),
+    # alpha 0.02 funds no node: its k = 0 rows print nan
+    "alpha-zero-node": (
+        ["alpha-sweep", "--alpha", "0.02", "--alpha", "0.3",
+         "--snr-db", "6", "--snr-db", "9", "--trials", FULL_AND_PARTIAL],
+        "44e45f2bee5bc25894b0f6a30c5e1c170961aa6e01fc115df42d78ec2af9b68a"),
+    # a nan series runs in the loop of the MIMO series; its crossovers
+    # read none
+    "snr-zero-node": (
+        ["snr-sweep", "--alpha", "0.02", "--alpha", "0.3",
+         "--snr-db", "4", "--snr-db", "8", "--trials", FULL_AND_PARTIAL],
+        "f8036bbbd33bb46da5a91e62e3c47ed7e6939788034348e09187f2c280fd791d"),
 }
 
 
@@ -105,6 +116,11 @@ GOLDEN_POINT = {
          "--sigma-nbr2", "0.8", "--trials", FULL_AND_PARTIAL, "--seed", "7"],
         0,
         "a18dab131c778ac113190e788de21f64739f0abc4f275b2a933470cf2ef8b1e7"),
+    # zero nodes: no threshold or estimate lines
+    "point-zero-node": (
+        ["point", "--alpha", "0.02", "--snr-db", "4",
+         "--trials", FULL_AND_PARTIAL], 1,
+        "d11fb371ff3bcdd4e2617c542165d8df30a5086c3d0c02778a9aee7fe3adaccd"),
 }
 
 

@@ -408,6 +408,23 @@ def test_config_rejects_non_integer_m(m):
         ExperimentConfig(experiment="alpha_sweep", m=m)
 
 
+# the largest block buffer holds 2 * min(trials, BLOCK_SIZE) * m * max(K, m)
+# doubles: 2 * 2 * 8192 * 8192 = 2**28 for the first config
+@pytest.mark.parametrize("kw, ok", [
+    (dict(experiment="snr_sweep", m=8192, trials=2), True),
+    (dict(experiment="snr_sweep", m=8192, trials=3), False),
+    (dict(experiment="snr_sweep", m=100_000), False),
+    (dict(experiment="single_point", alpha_grid=[0.5], snr_db_grid=[4.0],
+          ratio_ptotal_ps=1e7), False),
+])
+def test_config_bounds_a_blocks_largest_buffer(kw, ok, no_draws):
+    if ok:
+        ExperimentConfig(**kw)
+    else:
+        with pytest.raises(ValueError, match="over the limit of 268435456"):
+            ExperimentConfig(**kw)
+
+
 def test_config_accepts_numpy_integer_m():
     texts = [run_alpha_sweep(_cfg(experiment="alpha_sweep", alpha_grid=[0.3],
                                   snr_db_grid=[6.0], trials=1000, m=m)

@@ -64,6 +64,13 @@ def test_cluster_size_infeasible_below_half():
         cluster_size(0.49999999999999994, 1.0, 1.0)
 
 
+def test_cluster_size_rejects_an_overflowing_raw_value():
+    # p_s is the subnormal 5e-324, so alpha * p_total / p_s is inf
+    with pytest.raises(ValueError, match="is not finite") as info:
+        cluster_size(0.99, 1e-15, 1e-15 / 1.7e308)
+    assert not isinstance(info.value, InfeasibleAllocationError)
+
+
 @pytest.mark.properties
 def test_cluster_size_nondecreasing_in_alpha():
     sizes = [cluster_size(a / 100.0, 60.0, 4.0) for a in range(5, 96)]
