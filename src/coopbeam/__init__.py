@@ -20,7 +20,6 @@ from .outage import (
     regularized_lower_gamma,
 )
 from .powerplan import (
-    InfeasibleAllocationError,
     PowerAllocation,
     broadcast_feasible,
     broadcast_power_bound,
@@ -40,7 +39,6 @@ from .harness import (
 __all__ = [
     "CorrelationMatrix",
     "ExperimentConfig",
-    "InfeasibleAllocationError",
     "MimoConfig",
     "OutageConfig",
     "OutageEstimate",

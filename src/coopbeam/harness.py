@@ -43,7 +43,6 @@ from .outage import (
     required_snr,
 )
 from .powerplan import (
-    InfeasibleAllocationError,
     PowerAllocation,
     broadcast_feasible,
     broadcast_power_bound,
@@ -124,10 +123,7 @@ class ExperimentConfig:
         sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
         p2 = split(self.p_total, max(self.alpha_grid)).p2
         outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
-        try:  # the grid's largest cluster
-            k_max = cluster_size(max(self.alpha_grid), self.p_total, self.p_s)
-        except InfeasibleAllocationError:  # no point has a node
-            k_max = 0
+        k_max = cluster_size(max(self.alpha_grid), self.p_total, self.p_s)
         doubles = (2 * min(self.trials, BLOCK_SIZE) * self.m
                    * max(k_max, self.m))
         if doubles > MAX_BLOCK_DOUBLES:
@@ -284,9 +280,8 @@ def _point(cfg: ExperimentConfig, alpha: float, snr_db: float, index: int,
     """Run the Monte Carlo outage estimate of one (alpha, snr) grid point."""
     alloc = split(cfg.p_total, alpha)
     sigma_n2 = cfg.sigma_n2_at(snr_db)
-    try:
-        k = cluster_size(alpha, cfg.p_total, cfg.p_s)
-    except InfeasibleAllocationError:
+    k = cluster_size(alpha, cfg.p_total, cfg.p_s)
+    if k == 0:
         return _Point(alloc, 0, False, sigma_n2,
                       OutageEstimate(math.nan, 0, math.nan))
     feasible = broadcast_feasible(alloc.p1, k, cfg.r_br, cfg.sigma_nbr2)
@@ -320,11 +315,9 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                      analytical))
     summary = {}
     for snr in dict.fromkeys(row[0] for row in rows):
-        curve = [row[1:5] for row in rows if row[0] == snr]
-        try:
-            summary[snr] = optimize_alpha(curve)
-        except InfeasibleAllocationError:
-            pass
+        best = optimize_alpha([row[1:5] for row in rows if row[0] == snr])
+        if best is not None:
+            summary[snr] = best
     extra = {f"alpha_star[snr_db={_fmt(snr)}]":
              f"{_fmt(s['alpha_star'])} (k={s['k_star']}, "
              f"p_out_mc={_fmt(s['p_out_star'])})"

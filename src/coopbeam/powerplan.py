@@ -6,12 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._blocks import require_positive, require_positive_int
+from ._blocks import require_finite, require_positive, require_positive_int
 from .outage import required_snr
-
-
-class InfeasibleAllocationError(ValueError):
-    """Raised when a power allocation cannot satisfy the broadcast bound."""
 
 
 @dataclass(frozen=True)
@@ -31,6 +27,7 @@ class PowerAllocation:
 def split(p_total: float, alpha: float) -> PowerAllocation:
     """Split p_total into phase powers p1 = alpha*p_total, p2 = rest."""
     require_positive(p_total=p_total)
+    require_finite(alpha=alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     p1 = alpha * p_total
@@ -46,10 +43,10 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
     """Number of cluster nodes K = alpha * p_total / p_s, rounded.
 
     Rounds half away from zero to the nearest integer (the quoted cluster
-    sizes imply e.g. 4.5 -> 5), with a minimum of 1; a raw value below 0.5
-    cannot support even one node and raises InfeasibleAllocationError.  A
-    raw value that overflows raises ValueError.
+    sizes imply e.g. 4.5 -> 5); a raw value below 0.5 funds no node and
+    gives 0.  A raw value that overflows raises ValueError.
     """
+    require_finite(alpha=alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     require_positive(p_total=p_total, p_s=p_s)
@@ -59,12 +56,7 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
                          f"(alpha={alpha}, p_total={p_total}, p_s={p_s})")
     # floor(raw + 0.5) would round 0.49999999999999994 up: the sum is 1.0
     f = math.floor(raw)
-    k = f + (raw - f >= 0.5)
-    if k < 1:
-        raise InfeasibleAllocationError(
-            f"alpha*p_total/p_s = {raw!r} rounds to zero nodes"
-        )
-    return k
+    return f + (raw - f >= 0.5)
 
 
 def broadcast_power_bound(k: int, r_br: float, sigma_nbr2: float) -> float:
@@ -81,18 +73,18 @@ def broadcast_feasible(p1: float, k: int, r_br: float,
     return p1 >= broadcast_power_bound(k, r_br, sigma_nbr2)
 
 
-def optimize_alpha(curve) -> dict:
+def optimize_alpha(curve) -> dict | None:
     """Best power split among one SNR's evaluated (alpha, k, feasible, p_out).
 
     Infeasible points (broadcast bound unmet) are skipped.  Ties break
     toward smaller alpha, which spends less broadcast power, so the result
     does not depend on the order of the points.  Returns alpha_star, k_star
-    and p_out_star.
+    and p_out_star, or None when no point is feasible.
     """
     if len(curve) == 0:
         raise ValueError("alpha curve must be nonempty")
     feasible = [(p, alpha, k) for alpha, k, ok, p in curve if ok]
     if not feasible:
-        raise InfeasibleAllocationError("no feasible alpha on the grid")
+        return None
     p, alpha, k = min(feasible)
     return {"alpha_star": alpha, "k_star": k, "p_out_star": p}

@@ -1,4 +1,6 @@
 import argparse
+import importlib.util
+import json
 import os
 import re
 import resource
@@ -493,3 +495,35 @@ def test_config_key_fills_what_its_flag_fills(key, command, tmp_path,
     merged = cli._merge(parser.parse_args(from_file))
     assert merged == cli._merge(parser.parse_args([command, *flags]))
     assert len(merged) == 1
+
+
+BENCH = SRC.parent / "bench"
+TRACED_SWEEPS = [
+    ["snr-sweep", "--alpha", "0.02", "--alpha", "0.3", "--snr-db", "4"],
+    ["corr-sweep", "--corr", "0", "--corr", "0.5", "--snr-db", "4"],
+    ["alpha-sweep", "--alpha", "0.3", "--snr-db", "4"],
+]
+
+
+def test_benchmark_trace_mode_spans_every_layer(tmp_path, capsys):
+    # bench/child.py wraps harness's module globals; a rename there would
+    # break `bench/run.py --trace 1` without failing any other test
+    spec = importlib.util.spec_from_file_location("tracer",
+                                                  BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    names = set()
+    for i, sweep in enumerate(TRACED_SWEEPS):
+        argv = [*sweep, "--trials", "500", "--seed", "1", "--workers", "1"]
+        traced, record = tmp_path / f"traced{i}.csv", tmp_path / f"rec{i}"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), "trace", str(record),
+             "--", *argv, "--out", str(traced)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        names |= {span[2] for span in json.loads(record.read_text())["spans"]}
+        plain = tmp_path / f"plain{i}.csv"
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+    assert names == set(tracer.LAYER_OF) | {"block"}

@@ -97,6 +97,22 @@ GOLDEN = {
         ["snr-sweep", "--alpha", "0.02", "--alpha", "0.3",
          "--snr-db", "4", "--snr-db", "8", "--trials", FULL_AND_PARTIAL],
         "f8036bbbd33bb46da5a91e62e3c47ed7e6939788034348e09187f2c280fd791d"),
+    # the complex-convention bound at low SNR: three of its gamma calls
+    # take the continued-fraction branch (x >= s + 1)
+    "alpha-low-snr-complex": (
+        ["alpha-sweep", "--bound-variant", "complex_convention",
+         "--rtr", "2.5", "--alpha", "0.05", "--alpha", "0.2",
+         "--alpha", "0.6", "--snr-db", "-4", "--snr-db", "2",
+         "--trials", FULL_AND_PARTIAL, "--seed", "31"],
+        "5d3cfa19ced2a62b628aae548d05334cdb0c98062c1f8cf229846ec37891dde4"),
+    # p_total 30 and p_s 1.5: alpha 0.02 funds no node and no row meets the
+    # broadcast bound, so no alpha_star line is written
+    "alpha-budget-low-snr": (
+        ["alpha-sweep", "--ratio-ptotal-ps", "20", "--p-total", "30",
+         "--alpha", "0.02", "--alpha", "0.1", "--alpha", "0.45",
+         "--snr-db", "-2", "--snr-db", "8",
+         "--trials", FULL_AND_PARTIAL, "--seed", "37"],
+        "7e0342e06cc10ef8dd9f6b3218ed8799f13530ca527fe6d95e57b8305b7608d8"),
 }
 
 

@@ -106,6 +106,10 @@ DRIFT = {
     "OutageConfig p2=10**400": lambda: OutageConfig(
         r_tr=3.0, p2=10**400, sigma_n2=10.0, m=3, k=5, trials=100),
     "cluster_size p_total=inf": lambda: cluster_size(0.3, math.inf, 4.0),
+    "split alpha='0.3'": lambda: split(60.0, "0.3"),
+    "split alpha=None": lambda: split(60.0, None),
+    "cluster_size alpha='0.3'": lambda: cluster_size("0.3", 60.0, 4.0),
+    "cluster_size alpha=None": lambda: cluster_size(None, 60.0, 4.0),
     "gamma s=nan": lambda: regularized_lower_gamma(math.nan, 1.0),
     "gamma x=nan": lambda: regularized_lower_gamma(2.0, math.nan),
     "gamma s=inf": lambda: regularized_lower_gamma(math.inf, 1.0),
