@@ -63,8 +63,8 @@ MAX_BLOCK_DOUBLES = 1 << 28
 class ExperimentConfig:
     """Full parameterization of one experiment run.
 
-    Grids left as None take the defaults of the experiment's row in
-    EXPERIMENTS; output_path must be a file in a directory that exists.
+    Grids default to the experiment's row in EXPERIMENTS and are held
+    sorted, in run order; output_path is a file in a directory that exists.
     """
 
     experiment: str
@@ -114,16 +114,14 @@ class ExperimentConfig:
             if len(getattr(self, f"{name}_grid")) != 1:
                 raise ValueError(
                     f"{self.experiment} needs exactly one {name}")
-        for alpha in self.alpha_grid:
-            if not 0.0 < alpha < 1.0:
-                raise ValueError(f"alpha {alpha} outside (0, 1)")
+        k_max = max(cluster_size(alpha, self.p_total, self.p_s)
+                    for alpha in self.alpha_grid)
         for r in self.corr_r_grid:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"corr r {r} outside [0, 1)")
         sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
-        p2 = split(self.p_total, max(self.alpha_grid)).p2
+        p2 = split(self.p_total, self.alpha_grid[-1]).p2
         outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
-        k_max = cluster_size(max(self.alpha_grid), self.p_total, self.p_s)
         doubles = (2 * min(self.trials, BLOCK_SIZE) * self.m
                    * max(k_max, self.m))
         if doubles > MAX_BLOCK_DOUBLES:
@@ -139,7 +137,7 @@ class ExperimentConfig:
             raise ValueError(f"{name} must be a list, not {value!r}")
         grid = tuple(value)
         require_finite(**{f"{name}[{i}]": v for i, v in enumerate(grid)})
-        grid = tuple(map(float, grid))
+        grid = tuple(sorted(map(float, grid)))
         if not grid:
             raise ValueError("grids must be nonempty")
         written = [_fmt(v) for v in grid]
@@ -303,7 +301,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = _start(cfg, "alpha_sweep")
     columns = ("snr_db", "alpha", "k", "feasible", "p_out_mc", "std_err",
                "p_out_analytical")
-    grid = itertools.product(sorted(cfg.snr_db_grid), sorted(cfg.alpha_grid))
+    grid = itertools.product(cfg.snr_db_grid, cfg.alpha_grid)
     rows = []
     for index, (snr_db, alpha) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers)
@@ -314,7 +312,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                      pt.estimate.probability, pt.estimate.std_error,
                      analytical))
     summary = {}
-    for snr in dict.fromkeys(row[0] for row in rows):
+    for snr in cfg.snr_db_grid:
         best = optimize_alpha([row[1:5] for row in rows if row[0] == snr])
         if best is not None:
             summary[snr] = best
@@ -350,15 +348,14 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     start = _start(cfg, "snr_sweep")
     columns = ("snr_db", "series_id", "p_out", "std_err")
-    snrs = sorted(cfg.snr_db_grid)
     # (alpha, series id) per series; the MIMO baseline's alpha is None
-    series = [(a, f"alpha={_fmt(a)}") for a in sorted(cfg.alpha_grid)]
+    series = [(a, f"alpha={_fmt(a)}") for a in cfg.alpha_grid]
     alpha_ids = [sid for _, sid in series]
     mimo_id = f"mimo{cfg.m}x{cfg.m}"
     if cfg.include_baseline:
         series.append((None, mimo_id))
     rows = []
-    grid = itertools.product(snrs, series)
+    grid = itertools.product(cfg.snr_db_grid, series)
     for index, (snr_db, (alpha, sid)) in enumerate(grid):
         if alpha is None:
             est = mimo_outage(MimoConfig(
@@ -377,7 +374,7 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         pairs += [(sid, mimo_id) for sid in alpha_ids]
     extra = {}
     for a, b in pairs:
-        xs = _crossovers(snrs, curve(a), curve(b))
+        xs = _crossovers(cfg.snr_db_grid, curve(a), curve(b))
         extra[f"crossover[{a} vs {b}]"] = (
             ",".join(_fmt(x) for x in xs) if xs else "none"
         )
@@ -395,10 +392,9 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     alpha = cfg.alpha_grid[0]
-    corr = [(r, exponential_correlation(cfg.m, r))
-            for r in sorted(cfg.corr_r_grid)]
+    corr = [(r, exponential_correlation(cfg.m, r)) for r in cfg.corr_r_grid]
     rows = []
-    grid = itertools.product(sorted(cfg.snr_db_grid), corr)
+    grid = itertools.product(cfg.snr_db_grid, corr)
     for index, (snr_db, (r, C)) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers, correlation=C)
         est = pt.estimate

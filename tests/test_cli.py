@@ -253,6 +253,26 @@ def test_workers_flag_output_identical(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+# ExperimentConfig sorts every grid, so the order of the flags reaches
+# neither the rows nor the manifest
+@pytest.mark.parametrize("command, grids", [
+    ("alpha-sweep", {"--snr-db": ["4", "6", "9"], "--alpha": ["0.3", "0.5"]}),
+    ("snr-sweep", {"--snr-db": ["4", "6", "9"], "--alpha": ["0.3", "0.4"]}),
+    ("corr-sweep", {"--snr-db": ["4", "6"], "--corr": ["0", "0.5", "0.9"]}),
+])
+def test_grid_order_does_not_change_output(command, grids, tmp_path, capsys):
+    texts = []
+    for step in (1, -1):
+        out = tmp_path / f"{step}.csv"
+        argv = [command, "--trials", "1000", "--seed", "3", "--out", str(out)]
+        for flag, values in grids.items():
+            for value in values[::step]:
+                argv += [flag, value]
+        assert main(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("fidelity = 11\n")

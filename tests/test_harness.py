@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ def test_config_defaults():
     assert len(cfg.alpha_grid) == 13
     assert cfg.snr_db_grid == tuple(float(s) for s in range(2, 13))
     assert cfg.p_s == pytest.approx(4.0)
+    assert ExperimentConfig(experiment="snr_sweep",
+                            alpha_grid=[0.4, 0.3]).alpha_grid == (0.3, 0.4)
 
 
 def test_config_validation():
@@ -40,7 +43,8 @@ def test_config_validation():
         ExperimentConfig(experiment="grid_sweep")
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="alpha_sweep", alpha_grid=[])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "alpha must lie in (0, 1), got 1.2")):
         ExperimentConfig(experiment="alpha_sweep", alpha_grid=[1.2])
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="corr_sweep", corr_r_grid=[0.2, 1.0])

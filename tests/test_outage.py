@@ -9,6 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopbeam import outage
 from coopbeam.channel import exponential_correlation
 from coopbeam.outage import (
     OutageConfig,
@@ -158,10 +159,15 @@ def test_gamma_rejects_nonpositive_s():
 
 # scipy gives 0.4996 and 0.5001 for the two series inputs and 0.5005 for the
 # continued-fraction one; the loops used to return 0.4213 and 0.2605 for the
-# first two without complaint
-@pytest.mark.parametrize("s, x", [(5e5, 5e5 - 1), (2e6, 2e6), (2e6, 2e6 + 1.5)],
+# first two without complaint.  Each needs about 8 sqrt(s) terms, more than
+# the fixed part of the cap, so with no sqrt(s) allowance they must raise.
+NEAR_S = [(5e5, 5e5 - 1), (2e6, 2e6), (2e6, 2e6 + 1.5)]
+
+
+@pytest.mark.parametrize("s, x", NEAR_S,
                          ids=["series", "series-at-s", "continued-fraction"])
-def test_gamma_raises_when_not_converged(s, x):
+def test_gamma_raises_when_not_converged(s, x, monkeypatch):
+    monkeypatch.setattr(outage, "_GAMMA_TERMS_PER_ROOT_S", 0)
     with pytest.raises(ArithmeticError, match=re.escape(f"s={s}, x={x}")):
         regularized_lower_gamma(s, x)
 
@@ -175,8 +181,9 @@ def test_gamma_is_one_near_the_float_maximum(s, x):
 
 
 # s*log(x) and lgamma(s) are both ~1.3e7 at s = 1e6, so subtracting them
-# directly used to leave these 3.5e-10 and 1.5e-10 off scipy
-@pytest.mark.parametrize("s, x", [(1e6, 1e6 + 2), (5e5, 5e5 + 2)])
+# directly used to leave the first two 3.5e-10 and 1.5e-10 off scipy; a
+# fixed cap of 1000 terms raised on the NEAR_S ones
+@pytest.mark.parametrize("s, x", [(1e6, 1e6 + 2), (5e5, 5e5 + 2), *NEAR_S])
 def test_gamma_large_s_matches_scipy(s, x):
     assert regularized_lower_gamma(s, x) == pytest.approx(
         scipy.special.gammainc(s, x), abs=1e-12)
