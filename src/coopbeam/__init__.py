@@ -10,7 +10,7 @@ uncorrelated and correlated Rayleigh channels.
 """
 
 from ._version import __version__
-from .channel import CorrelationMatrix, exponential_correlation
+from .channel import CorrelationMatrix
 from .outage import (
     OutageConfig,
     OutageEstimate,
@@ -49,7 +49,6 @@ __all__ = [
     "broadcast_feasible",
     "broadcast_power_bound",
     "cluster_size",
-    "exponential_correlation",
     "mimo_outage",
     "monte_carlo_outage",
     "outage_threshold",

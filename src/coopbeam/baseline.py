@@ -14,6 +14,11 @@ from .outage import required_snr
 
 _LN2 = math.log(2.0)
 
+# Largest p_mimo / (m * sigma_n2) a link may have.  _log_det scales each Gram
+# entry by g = scale / 2, and g times any Gram sum below about 1e6 stays
+# finite; an overflow there turns into NaN capacities, counted as no outage.
+MAX_MIMO_SCALE = 1e300
+
 
 @dataclass(frozen=True)
 class MimoConfig:
@@ -33,8 +38,12 @@ class MimoConfig:
 
     def __post_init__(self):
         require_positive_int(m=self.m, trials=self.trials)
-        require_positive(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
+        require_positive(m=self.m, p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
         required_snr(self.r_tr)
+        scale = self.p_mimo / (self.m * self.sigma_n2)
+        if not scale <= MAX_MIMO_SCALE:
+            raise ValueError(f"p_mimo / (m * sigma_n2) must be at most "
+                             f"{MAX_MIMO_SCALE:g}, got {scale}")
         seed_components(self.seed)
 
 

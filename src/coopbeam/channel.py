@@ -42,7 +42,3 @@ class CorrelationMatrix:
         norm = np.linalg.norm(np.ldexp(entries - np.eye(self.m), -e))
         object.__setattr__(self, "level", float(
             np.ldexp(norm, e) / math.sqrt(self.m)))
-
-
-# the model's name for the class; harness builds its matrices through it
-exponential_correlation = CorrelationMatrix

@@ -31,7 +31,8 @@ from ._blocks import (BLOCK_SIZE, SUBSEED_RULE, require_bool, require_finite,
                       require_positive, require_positive_int, seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
-from .channel import exponential_correlation
+# bench/tracer.py wraps this name to count the correlation matrices built
+from .channel import CorrelationMatrix as exponential_correlation
 from .outage import (
     BOUND_VARIANTS,
     GAIN_MODES,
@@ -128,6 +129,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"m = {self.m} and K = {k_max} need a block buffer of "
                 f"{doubles} doubles, over the limit of {MAX_BLOCK_DOUBLES}")
+        if self.experiment == "snr_sweep" and self.include_baseline:
+            MimoConfig(m=self.m, p_mimo=self.p_total, r_tr=self.r_tr,
+                       sigma_n2=self.sigma_n2_at(self.snr_db_grid[-1]))
 
     def _grid(self, name, default):
         value = getattr(self, name)

@@ -5,6 +5,7 @@ import pytest
 
 from coopbeam._blocks import BLOCK_SIZE
 from coopbeam.baseline import (
+    MAX_MIMO_SCALE,
     MimoConfig,
     _log_det,
     block_capacities,
@@ -195,3 +196,30 @@ def test_mimo_config_rejects_non_integer_antenna_counts(value):
 def test_mimo_config_accepts_numpy_integer_antenna_counts():
     cfg = MimoConfig(m=np.int64(2), trials=500)
     assert mimo_outage(cfg) == mimo_outage(MimoConfig(m=2, trials=500))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(sigma_n2=1e-300), dict(m=1, p_mimo=1e301),
+    dict(p_mimo=1e300, sigma_n2=5e-324),
+], ids=["tiny-noise", "huge-power", "inf-scale"])
+def test_mimo_config_rejects_scale_over_the_cap(kwargs):
+    with pytest.raises(ValueError, match="must be at most 1e\\+300"):
+        MimoConfig(**kwargs)
+
+
+def test_mimo_config_accepts_scale_at_the_cap():
+    assert MimoConfig(m=2, p_mimo=2e300).m == 2
+
+
+def test_mimo_config_rejects_antenna_count_too_large_for_a_float():
+    with pytest.raises(ValueError, match="^m must be finite"):
+        MimoConfig(m=10**400)
+
+
+# at the cap, g times every Gram entry stays finite and so does the LDL;
+# tier-1 turns any RuntimeWarning (overflow, invalid value) into a failure
+@pytest.mark.parametrize("m", ANTENNAS)
+def test_block_capacities_are_finite_at_the_scale_cap(m):
+    got = block_capacities(np.random.default_rng([1, 1, 0]), 8192, m,
+                           MAX_MIMO_SCALE)
+    assert np.isfinite(got).all()

@@ -19,7 +19,7 @@ import pytest
 from coopbeam import _blocks, baseline, outage
 from coopbeam._blocks import parallel_count
 from coopbeam.baseline import MimoConfig, block_capacities, mimo_outage
-from coopbeam.channel import exponential_correlation
+from coopbeam.channel import CorrelationMatrix
 from coopbeam.harness import (
     ExperimentConfig,
     run_alpha_sweep,
@@ -31,7 +31,7 @@ from coopbeam.outage import OutageConfig, block_gains, monte_carlo_outage
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-C3 = exponential_correlation(3, 0.5).entries
+C3 = CorrelationMatrix(3, 0.5).entries
 
 # name -> (kernel, arguments after the generator)
 BLOCKS = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbeam.channel import CorrelationMatrix, exponential_correlation
+from coopbeam.channel import CorrelationMatrix
 
 
 def closed_form_level(m, r):
@@ -16,18 +16,18 @@ def closed_form_level(m, r):
 
 
 def test_exponential_correlation_r0_identity():
-    C = exponential_correlation(3, 0.0)
+    C = CorrelationMatrix(3, 0.0)
     assert np.array_equal(C.entries, np.eye(3))
     assert C.level == 0.0
 
 
 def test_exponential_correlation_direct_2x2():
-    C = exponential_correlation(2, 0.5)
+    C = CorrelationMatrix(2, 0.5)
     assert np.array_equal(C.entries, [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_exponential_correlation_stores_matching_level():
-    C = exponential_correlation(3, 0.5)
+    C = CorrelationMatrix(3, 0.5)
     assert C.level == pytest.approx(closed_form_level(3, 0.5), rel=1e-14)
     # PSD by construction
     assert np.all(np.linalg.eigvalsh(C.entries) > -1e-12)
@@ -35,27 +35,37 @@ def test_exponential_correlation_stores_matching_level():
 
 def test_exponential_correlation_domain():
     with pytest.raises(ValueError):
-        exponential_correlation(3, 1.0)
+        CorrelationMatrix(3, 1.0)
     with pytest.raises(ValueError):
-        exponential_correlation(3, -0.1)
+        CorrelationMatrix(3, -0.1)
     with pytest.raises(ValueError):
-        exponential_correlation(0, 0.5)
+        CorrelationMatrix(0, 0.5)
 
 
 def test_exponential_correlation_rejects_bool_r():
     with pytest.raises(ValueError, match="^r must be a number"):
-        exponential_correlation(3, False)
+        CorrelationMatrix(3, False)
 
 
 def test_equal_m_and_r_compare_and_hash_equal():
-    a, b = exponential_correlation(3, 0.5), CorrelationMatrix(3, 0.5)
+    a, b = CorrelationMatrix(3, 0.5), CorrelationMatrix(3, 0.5)
     assert a == b and hash(a) == hash(b)
-    assert a != exponential_correlation(3, 0.25)
-    assert len({a, b, exponential_correlation(4, 0.5)}) == 2
+    assert a != CorrelationMatrix(3, 0.25)
+    assert len({a, b, CorrelationMatrix(4, 0.5)}) == 2
+
+
+def test_correlation_matrix_is_the_model_s_only_public_name():
+    import coopbeam
+    from coopbeam import channel, harness
+    assert not hasattr(coopbeam, "exponential_correlation")
+    assert not hasattr(channel, "exponential_correlation")
+    assert "exponential_correlation" not in coopbeam.__all__
+    # the private harness name is the one bench/tracer.py wraps
+    assert harness.exponential_correlation is CorrelationMatrix
 
 
 def test_entries_are_read_only():
-    C = exponential_correlation(3, 0.5)
+    C = CorrelationMatrix(3, 0.5)
     with pytest.raises(ValueError, match="read-only"):
         C.entries[0, 1] = 5.0
     assert C.entries[0, 1] == 0.5
@@ -78,26 +88,26 @@ def test_exponential_correlation_is_a_correlation_matrix(m, r):
 def test_exponential_correlation_builds_for_every_r(m):
     for r in np.concatenate([np.linspace(0.0, 0.99, 100),
                              [0.999, 0.9999999, np.nextafter(1.0, 0.0)]]):
-        assert exponential_correlation(m, float(r)).m == m
+        assert CorrelationMatrix(m, float(r)).m == m
 
 
 def test_level_hand_values():
     # ||C - I||_F / sqrt(m) worked by hand: sqrt(2 * 0.25) / sqrt(2)
-    assert exponential_correlation(2, 0.5).level == pytest.approx(
+    assert CorrelationMatrix(2, 0.5).level == pytest.approx(
         0.5, abs=1e-15)
-    assert exponential_correlation(1, 0.5).level == 0.0
+    assert CorrelationMatrix(1, 0.5).level == 0.0
 
 
 @pytest.mark.parametrize("m, r", [(3, 3.411798443255226e-159), (4, 1e-170),
                                   (8, 1e-300), (2, 5e-324)])
 def test_level_of_tiny_r_does_not_underflow(m, r):
     # r**2 is subnormal or zero here; the level is still r * sqrt(2(m-1)/m)
-    assert exponential_correlation(m, r).level == pytest.approx(
+    assert CorrelationMatrix(m, r).level == pytest.approx(
         closed_form_level(m, r), rel=1e-13, abs=1e-320)
 
 
 def test_level_matches_independent_norms():
-    C = exponential_correlation(4, 0.6)
+    C = CorrelationMatrix(4, 0.6)
     off = C.entries - np.diag(np.diag(C.entries))
     expect = (np.sqrt((off ** 2).sum())
               / np.sqrt((np.diag(C.entries) ** 2).sum()))
@@ -114,6 +124,6 @@ def test_level_identity_is_zero(m):
 @pytest.mark.properties
 def test_level_strictly_increasing_in_r():
     for m in (2, 3, 5):
-        levels = [exponential_correlation(m, r).level
+        levels = [CorrelationMatrix(m, r).level
                   for r in np.linspace(0.0, 0.95, 12)]
         assert all(b > a for a, b in zip(levels, levels[1:]))

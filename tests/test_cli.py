@@ -463,6 +463,46 @@ def test_config_key_of_another_subcommand_exits_before_any_draw(
     assert not out.exists()
 
 
+# point prints both bound variants and the other sweeps none, so only the
+# alpha sweep takes --bound-variant
+@pytest.mark.parametrize("command", ["snr-sweep", "corr-sweep", "point"])
+def test_bound_variant_is_an_alpha_sweep_flag(command, tmp_path, capsys,
+                                              no_draws):
+    out = tmp_path / "never.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--bound-variant", "printed", "--alpha", "0.3",
+              "--snr-db", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --bound-variant printed"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+# at 3082 dB the baseline's p_mimo / (m * sigma_n2) is about 5.3e307, over
+# MAX_MIMO_SCALE; the beamforming series alone still run
+def test_snr_sweep_past_the_mimo_scale_cap_exits_before_any_draw(
+        tmp_path, capsys, no_draws):
+    out = tmp_path / "never.csv"
+    rc = main(["snr-sweep", "--snr-db", "3082", "--alpha", "0.3",
+               "--trials", "100", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be at most 1e+300" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["snr-sweep", "--no-baseline"], ["corr-sweep"], ["alpha-sweep"],
+], ids=["snr-sweep-no-baseline", "corr-sweep", "alpha-sweep"])
+def test_sweeps_without_the_baseline_run_past_the_mimo_scale_cap(
+        argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--snr-db", "3082", "--alpha", "0.3",
+                 "--trials", "100", "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert out.read_text().splitlines()[-1].startswith("3082,")
+
+
 COMMANDS = ("alpha-sweep", "snr-sweep", "corr-sweep", "point")
 
 # the README's config keys: file line, the same value as flags, and the one
@@ -478,7 +518,8 @@ DOCUMENTED_KEYS = {
     "seed": ("7", ["--seed", "7"], None),
     "gain_mode": ("vector", ["--gain-mode", "vector"], None),
     "bound_variant": ("complex_convention",
-                      ["--bound-variant", "complex_convention"], None),
+                      ["--bound-variant", "complex_convention"],
+                      "alpha-sweep"),
     "workers": ("2", ["--workers", "2"], None),
     "out": ("x.csv", ["--out", "x.csv"], None),
     "alpha": ("0.3,0.4", ["--alpha", "0.3", "--alpha", "0.4"], None),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbeam.channel import exponential_correlation
+from coopbeam.channel import CorrelationMatrix
 from coopbeam.harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -396,7 +396,7 @@ def test_corr_sweep_builds_each_correlation_matrix_once(monkeypatch):
 
     def counted(m, r):
         built.append(r)
-        return exponential_correlation(m, r)
+        return CorrelationMatrix(m, r)
 
     monkeypatch.setattr(harness, "exponential_correlation", counted)
     cfg = _cfg(experiment="corr_sweep", alpha_grid=[0.3],

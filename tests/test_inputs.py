@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopbeam.baseline import MimoConfig
-from coopbeam.channel import exponential_correlation
+from coopbeam.channel import CorrelationMatrix
 from coopbeam.harness import ExperimentConfig
 from coopbeam.outage import (OutageConfig, analytical_outage,
                              regularized_lower_gamma)
@@ -37,7 +37,7 @@ ENTRY_POINTS = [
      ("p1", "r_br", "sigma_nbr2"), ("k",)),
     (analytical_outage, dict(m=3, k=5, r_tr=3.0, p2=42.0, sigma_n2=10.0),
      ("p2", "sigma_n2"), ("m", "k")),
-    (exponential_correlation, dict(m=3, r=0.3), (), ("m",)),
+    (CorrelationMatrix, dict(m=3, r=0.3), (), ("m",)),
     (regularized_lower_gamma, dict(s=2.0, x=1.0), ("s",), ()),
 ]
 
@@ -70,8 +70,8 @@ DRIFT = {
         True, 5, 3.0, 42.0, 10.0),
     "analytical_outage m=2.5": lambda: analytical_outage(
         2.5, 3, 3.0, 42.0, 10.0),
-    "exponential_correlation m=2.5": lambda: exponential_correlation(2.5, 0.3),
-    "exponential_correlation m=True": lambda: exponential_correlation(
+    "exponential_correlation m=2.5": lambda: CorrelationMatrix(2.5, 0.3),
+    "exponential_correlation m=True": lambda: CorrelationMatrix(
         True, 0.3),
     "broadcast_power_bound k=2.5": lambda: broadcast_power_bound(
         2.5, 2.0, 1.0),
@@ -98,9 +98,13 @@ DRIFT = {
         experiment="alpha_sweep", p_total=None),
     "split p_total='60'": lambda: split("60", 0.3),
     "MimoConfig p_mimo='60'": lambda: MimoConfig(p_mimo="60"),
+    "MimoConfig sigma_n2=1e-300": lambda: MimoConfig(sigma_n2=1e-300),
+    "MimoConfig m=10**400": lambda: MimoConfig(m=10**400),
+    "ExperimentConfig snr_sweep snr_db=3082": lambda: ExperimentConfig(
+        experiment="snr_sweep", snr_db_grid=[3082.0]),
     "OutageConfig correlation=ndarray": lambda: OutageConfig(
         r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5, trials=100,
-        correlation=exponential_correlation(3, 0.5).entries),
+        correlation=CorrelationMatrix(3, 0.5).entries),
     "OutageConfig r_tr=True": lambda: OutageConfig(
         r_tr=True, p2=True, sigma_n2=True, m=3, k=5, trials=10),
     "OutageConfig p2=10**400": lambda: OutageConfig(

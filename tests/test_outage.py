@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopbeam import outage
-from coopbeam.channel import exponential_correlation
+from coopbeam.channel import CorrelationMatrix
 from coopbeam.outage import (
     OutageConfig,
     analytical_outage,
@@ -292,7 +292,7 @@ def test_mc_correlation_changes_estimate():
                         trials=40_000, seed=3)
     corr = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=15.0, m=3, k=5,
                         trials=40_000, seed=3,
-                        correlation=exponential_correlation(3, 0.7))
+                        correlation=CorrelationMatrix(3, 0.7))
     p0 = monte_carlo_outage(base).probability
     p1 = monte_carlo_outage(corr).probability
     assert p0 != p1
@@ -387,7 +387,7 @@ def test_mc_config_validation():
                      gain_mode="matrix")
     with pytest.raises(ValueError):
         OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=2, k=1, trials=10,
-                     correlation=exponential_correlation(3, 0.5))
+                     correlation=CorrelationMatrix(3, 0.5))
 
 
 # ------------------------------------------------------- block gain kernel
@@ -430,7 +430,7 @@ def test_stacked_normal_draw_is_the_two_draw_stream():
 @pytest.mark.parametrize("m", [1, 3, 4])
 def test_block_gains_match_complex_reference(m, k, gain_mode, corr, n):
     C = {None: None,
-         "exponential": exponential_correlation(m, 0.6).entries,
+         "exponential": CorrelationMatrix(m, 0.6).entries,
          "asymmetric": np.eye(m) + np.triu(np.full((m, m), 0.4), 1)}[corr]
     seed = [31, m, k, n]
     got = block_gains(np.random.default_rng(seed), n, m, k, gain_mode, C)
@@ -458,7 +458,7 @@ def test_block_gains_phase_draw_only_in_vector_mode(gain_mode):
 def test_count_block_is_gains_below_threshold(gain_mode):
     cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
                        trials=9000, seed=(4, 2), gain_mode=gain_mode,
-                       correlation=exponential_correlation(3, 0.5))
+                       correlation=CorrelationMatrix(3, 0.5))
     tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
     want = 0
     for b, n in ((0, 8192), (1, 808)):
@@ -500,7 +500,7 @@ def gap_thresholds(values, count=9):
 @pytest.mark.parametrize("corr", [False, True], ids=["iid", "exponential"])
 @pytest.mark.parametrize("gain_mode", ["frobenius", "vector"])
 def test_block_gains_chunk_edges(n, m, k, corr, gain_mode):
-    C = exponential_correlation(m, 0.6).entries if corr else None
+    C = CorrelationMatrix(m, 0.6).entries if corr else None
     seed = [59, n, m, k]
     got = block_gains(np.random.default_rng(seed), n, m, k, gain_mode, C)
     want = _reference_gains(np.random.default_rng(seed), n, m, k,
