@@ -65,7 +65,8 @@ class ExperimentConfig:
     """Full parameterization of one experiment run.
 
     Grids default to the experiment's row in EXPERIMENTS and are held
-    sorted, in run order; output_path is a file in a directory that exists.
+    sorted, in run order; output_path is a file that can be opened for
+    writing, in a directory that exists.
     """
 
     experiment: str
@@ -107,6 +108,15 @@ class ExperimentConfig:
                     os.path.dirname(os.path.abspath(self.output_path))):
                 raise ValueError(f"output directory of "
                                  f"{self.output_path!r} does not exist")
+            created = not os.path.exists(self.output_path)
+            try:  # a name the sweep could not open fails before any draw
+                open(self.output_path, "a").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write output path "
+                                 f"{self.output_path!r}: {exc.strerror}"
+                                 ) from None
+            if created:  # the file, not a dangling link to it
+                os.remove(os.path.realpath(self.output_path))
         row = EXPERIMENTS[self.experiment]
         for name in ("alpha", "snr_db", "corr_r"):
             object.__setattr__(self, f"{name}_grid",

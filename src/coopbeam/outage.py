@@ -133,9 +133,11 @@ def _vector_power(rng, n, m, k, C, power, norm) -> None:
     """Vector-mode power and weight norm of n trials, into power and norm.
 
     The phases are the last draw, so the whole channel is drawn first; every
-    array lives in the workspace.  The phase buffer "theta" holds u**2 until
-    its norm is taken and sin(theta) once cos(theta) is, so the kernel keeps
-    three (n, k) buffers: u, theta and u*cos(theta).
+    array lives in the workspace.  The phasors come from one tan: with
+    t = tan(theta/2), cos(theta) = 2/(1 + t**2) - 1 and sin(theta) =
+    t * 2/(1 + t**2).  So the kernel keeps three (n, k) buffers: u; "theta",
+    which holds u**2, then the phases, then t, then u*sin(theta); and "uc",
+    which holds 1 + t**2, then 2/(1 + t**2), then u*cos(theta).
     """
     z = workspace("channel", (2, n, m, k))
     rng.standard_normal(out=z)
@@ -144,10 +146,14 @@ def _vector_power(rng, n, m, k, C, power, norm) -> None:
     theta = workspace("theta", (n, k))
     np.einsum("nk->n", np.multiply(u, u, out=theta), out=norm)
     rng.random(out=theta)
-    theta *= 2.0 * np.pi
-    uc = np.cos(theta, out=workspace("uc", (n, k)))
+    theta *= np.pi  # half the phase: tan(pi/2) is finite in floats
+    np.tan(theta, out=theta)
+    uc = np.multiply(theta, theta, out=workspace("uc", (n, k)))
+    uc += 1.0
+    np.divide(2.0, uc, out=uc)
+    us = np.multiply(theta, uc, out=theta)
+    uc -= 1.0
     uc *= u
-    us = np.sin(theta, out=theta)
     us *= u
     zr, zi = z
     yr = np.einsum("nmk,nk->nm", zr, uc, out=workspace("yr", (n, m)))

@@ -315,7 +315,10 @@ def test_conflicting_config_keys_exit_before_running(text, match, tmp_path,
      "does not exist"),
     (["corr-sweep"], "does not exist"),
     (["snr-sweep", "--out", "{tmp}"], "is a directory"),
-], ids=["sweep-out", "point-out", "outdir-default", "out-is-directory"])
+    (["snr-sweep", "--snr-db", "4", "--trials", "2000",
+      "--out", "{tmp}/" + "x" * 300 + ".csv"], "cannot write output path"),
+], ids=["sweep-out", "point-out", "outdir-default", "out-is-directory",
+        "out-name-too-long"])
 def test_bad_output_path_exits_before_any_draw(argv, message, tmp_path,
                                                monkeypatch, capsys, no_draws):
     missing = tmp_path / "missing"
@@ -323,7 +326,7 @@ def test_bad_output_path_exits_before_any_draw(argv, message, tmp_path,
     rc = main([arg.format(missing=missing, tmp=tmp_path) for arg in argv])
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not missing.exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_corr_sweep_with_two_alphas_exits_before_any_draw(tmp_path, capsys,

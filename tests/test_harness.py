@@ -437,15 +437,30 @@ def test_config_accepts_numpy_integer_m():
     assert texts[0] == texts[1]
 
 
-def test_config_rejects_output_path_in_missing_directory(tmp_path):
+def test_config_rejects_output_path_in_missing_directory(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match="does not exist"):
         ExperimentConfig(experiment="alpha_sweep",
                          output_path=str(tmp_path / "missing" / "a.csv"))
     with pytest.raises(ValueError, match="is a directory"):
         ExperimentConfig(experiment="alpha_sweep", output_path=str(tmp_path))
+    long_name = str(tmp_path / ("x" * 300 + ".csv"))
+    with pytest.raises(ValueError, match="cannot write output path .*x{300}"):
+        ExperimentConfig(experiment="alpha_sweep", output_path=long_name)
     for path in (str(tmp_path / "a.csv"), "a.csv"):
         assert ExperimentConfig(experiment="alpha_sweep",
                                 output_path=path).output_path == path
+    assert not any(tmp_path.iterdir())  # the check leaves no file behind
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    ExperimentConfig(experiment="alpha_sweep", output_path=str(link))
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+    link.unlink()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old bytes\n")
+    ExperimentConfig(experiment="alpha_sweep", output_path=str(kept))
+    assert kept.read_bytes() == b"old bytes\n"
 
 
 def test_corr_sweep_config_takes_one_alpha():

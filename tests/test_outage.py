@@ -411,7 +411,7 @@ def _reference_gains(rng, n, m, k, gain_mode, C=None):
 
 
 # float64 eps times the 2*M*K <= 96 terms of a gain, with headroom for the
-# different summation order; the largest deviation seen is about 1.2e-13
+# different summation order; the largest deviation seen is about 2.9e-14
 GAIN_RTOL = 1e-12
 
 
@@ -508,6 +508,46 @@ def test_block_gains_chunk_edges(n, m, k, corr, gain_mode):
     np.testing.assert_allclose(got, want, rtol=GAIN_RTOL, atol=0)
     for tau in gap_thresholds(want):
         assert np.count_nonzero(got < tau) == np.count_nonzero(want < tau)
+
+
+# Phase uniforms where tan(pi U) has its pole (U = 0.5) or sin and cos of
+# 2 pi U change sign; a random draw hits any of them with probability 2**-53
+EDGE_PHASES = np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+
+
+class _EdgePhaseGenerator:
+    """A generator whose normals and first uniforms are real draws and
+    whose second uniform draw, the phases, repeats EDGE_PHASES."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._uniform_draws = 0
+
+    def standard_normal(self, size=None, out=None):
+        return self._rng.standard_normal(size, out=out)
+
+    def random(self, size=None, out=None):
+        self._uniform_draws += 1
+        if self._uniform_draws == 1:
+            return self._rng.random(size, out=out)
+        phases = np.resize(EDGE_PHASES, size if out is None else out.shape)
+        if out is None:
+            return phases
+        out[...] = phases
+        return out
+
+
+@pytest.mark.parametrize("corr", [False, True], ids=["iid", "exponential"])
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("m", [1, 3])
+def test_vector_gains_at_edge_phases(m, k, corr):
+    C = CorrelationMatrix(m, 0.6).entries if corr else None
+    n = 60
+    rng, ref = _EdgePhaseGenerator(m * k), _EdgePhaseGenerator(m * k)
+    got = block_gains(rng, n, m, k, "vector", C)
+    want = _reference_gains(ref, n, m, k, "vector", C)
+    assert rng._uniform_draws == ref._uniform_draws == 2
+    np.testing.assert_allclose(got, want, rtol=GAIN_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", 0, -1])
