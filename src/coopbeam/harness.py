@@ -41,7 +41,6 @@ from .outage import (
     analytical_outage,
     monte_carlo_outage,
     outage_threshold,
-    required_snr,
 )
 from .powerplan import (
     PowerAllocation,
@@ -90,10 +89,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         require_positive_int(m=self.m, trials=self.trials)
-        require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps, r_br=self.r_br,
-                         p_total=self.p_total, sigma_nbr2=self.sigma_nbr2)
-        require_positive(p_s=self.p_s)
-        required_snr(self.r_br, "r_br")
+        require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps,
+                         p_total=self.p_total)
+        broadcast_power_bound(1, self.r_br, self.sigma_nbr2)
         seed_components((self.seed,))  # the master seed is one integer
         require_bool(include_baseline=self.include_baseline)
         if self.gain_mode not in GAIN_MODES:
@@ -101,13 +99,6 @@ class ExperimentConfig:
         if self.bound_variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown bound variant {self.bound_variant!r}")
         if self.output_path:
-            if os.path.isdir(self.output_path):
-                raise ValueError(
-                    f"output path {self.output_path!r} is a directory")
-            if not os.path.isdir(
-                    os.path.dirname(os.path.abspath(self.output_path))):
-                raise ValueError(f"output directory of "
-                                 f"{self.output_path!r} does not exist")
             created = not os.path.exists(self.output_path)
             try:  # a name the sweep could not open fails before any draw
                 open(self.output_path, "a").close()
@@ -133,6 +124,9 @@ class ExperimentConfig:
         sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
         p2 = split(self.p_total, self.alpha_grid[-1]).p2
         outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
+        for name in ("ratio_ptotal_ps", "r_br", "r_tr", "p_total",
+                     "sigma_nbr2"):  # a numpy float32 would run in float32
+            object.__setattr__(self, name, float(getattr(self, name)))
         doubles = (2 * min(self.trials, BLOCK_SIZE) * self.m
                    * max(k_max, self.m))
         if doubles > MAX_BLOCK_DOUBLES:

@@ -81,8 +81,6 @@ def optimize_alpha(curve) -> dict | None:
     does not depend on the order of the points.  Returns alpha_star, k_star
     and p_out_star, or None when no point is feasible.
     """
-    if len(curve) == 0:
-        raise ValueError("alpha curve must be nonempty")
     feasible = [(p, alpha, k) for alpha, k, ok, p in curve if ok]
     if not feasible:
         return None

@@ -309,24 +309,33 @@ def test_conflicting_config_keys_exit_before_running(text, match, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["alpha-sweep", "--out", "{missing}/a.csv"], "does not exist"),
+@pytest.mark.parametrize("argv, outdir, message", [
+    (["alpha-sweep", "--out", "{missing}/a.csv"], "missing",
+     "No such file or directory"),
     (["point", "--alpha", "0.4", "--snr-db", "4", "--out", "{missing}/p.txt"],
-     "does not exist"),
-    (["corr-sweep"], "does not exist"),
-    (["snr-sweep", "--out", "{tmp}"], "is a directory"),
+     "missing", "No such file or directory"),
+    (["corr-sweep"], "missing", "No such file or directory"),
+    (["snr-sweep", "--out", "{tmp}"], "missing", "Is a directory"),
     (["snr-sweep", "--snr-db", "4", "--trials", "2000",
-      "--out", "{tmp}/" + "x" * 300 + ".csv"], "cannot write output path"),
+      "--out", "{tmp}/" + "x" * 300 + ".csv"], "missing",
+     "cannot write output path"),
+    (["alpha-sweep", "--out", "{tmp}/afile/x.csv"], "missing",
+     "Not a directory"),
+    (["snr-sweep"], "afile", "Not a directory"),
 ], ids=["sweep-out", "point-out", "outdir-default", "out-is-directory",
-        "out-name-too-long"])
-def test_bad_output_path_exits_before_any_draw(argv, message, tmp_path,
-                                               monkeypatch, capsys, no_draws):
+        "out-name-too-long", "out-parent-is-file", "outdir-is-file"])
+def test_bad_output_path_exits_before_any_draw(argv, outdir, message,
+                                               tmp_path, monkeypatch, capsys,
+                                               no_draws):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
     missing = tmp_path / "missing"
-    monkeypatch.setenv("COOPBEAM_OUTDIR", str(missing))
+    monkeypatch.setenv("COOPBEAM_OUTDIR", str(tmp_path / outdir))
     rc = main([arg.format(missing=missing, tmp=tmp_path) for arg in argv])
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert afile.read_bytes() == b"not a directory\n"
 
 
 def test_corr_sweep_with_two_alphas_exits_before_any_draw(tmp_path, capsys,
@@ -381,7 +390,7 @@ def test_overflowing_broadcast_rate_exits_before_any_draw(tmp_path, capsys,
     assert not out.exists()
 
 
-# P_s = 1e-300 / 1e300 underflows to 0, which cluster_size would reject
+# P_s = 1e-300 / 1e300 underflows to 0, which cluster_size rejects
 @pytest.mark.parametrize("command", ["point", "alpha-sweep"])
 def test_underflowing_broadcast_power_exits_before_any_draw(command, tmp_path,
                                                             capsys, no_draws):

@@ -437,13 +437,24 @@ def test_config_accepts_numpy_integer_m():
     assert texts[0] == texts[1]
 
 
+def test_config_holds_numpy_float32_scalars_as_floats():
+    # each value is exact in float32, so only the arithmetic's width differs
+    texts = [run_alpha_sweep(_cfg(
+        experiment="alpha_sweep", alpha_grid=[0.3, 0.5], snr_db_grid=[4, 9],
+        seed=3, p_total=t(60), r_tr=t(3), ratio_ptotal_ps=t(15), r_br=t(2),
+        sigma_nbr2=t(1))).csv_text for t in (float, np.float32)]
+    assert texts[0] == texts[1]
+    assert "# p_total = 60\n" in texts[0]
+
+
 def test_config_rejects_output_path_in_missing_directory(tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        no_draws):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(ValueError, match="does not exist"):
+    with pytest.raises(ValueError, match="No such file or directory"):
         ExperimentConfig(experiment="alpha_sweep",
                          output_path=str(tmp_path / "missing" / "a.csv"))
-    with pytest.raises(ValueError, match="is a directory"):
+    with pytest.raises(ValueError, match="Is a directory"):
         ExperimentConfig(experiment="alpha_sweep", output_path=str(tmp_path))
     long_name = str(tmp_path / ("x" * 300 + ".csv"))
     with pytest.raises(ValueError, match="cannot write output path .*x{300}"):
@@ -461,6 +472,11 @@ def test_config_rejects_output_path_in_missing_directory(tmp_path,
     kept.write_bytes(b"old bytes\n")
     ExperimentConfig(experiment="alpha_sweep", output_path=str(kept))
     assert kept.read_bytes() == b"old bytes\n"
+    with pytest.raises(ValueError, match="Not a directory"):  # parent a file
+        ExperimentConfig(experiment="alpha_sweep",
+                         output_path=str(kept / "x.csv"))
+    assert kept.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 def test_corr_sweep_config_takes_one_alpha():
