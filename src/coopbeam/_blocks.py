@@ -21,6 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 BLOCK_SIZE = 8192
+# Most doubles one workspace buffer of a block may hold: 2 GiB.  The largest,
+# the vector or MIMO channel, holds 2 * n * m * width doubles (width K or m),
+# at most 7.9e5 in the README, golden and benchmark runs; a config over it is
+# a mistake (a budget ratio in the wrong unit, say) asking for gigabytes.
+MAX_BLOCK_DOUBLES = 1 << 28
 # doubles per chunk of a chunked draw: whole trials of about this many numbers
 CHUNK = 1 << 15
 
@@ -89,6 +94,17 @@ def require_positive(**values) -> None:
     for name, value in values.items():
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def require_block_fits(trials, m, width) -> None:
+    """Raise ValueError when a block of min(trials, BLOCK_SIZE) trials of
+    m x width channels needs a buffer over MAX_BLOCK_DOUBLES doubles."""
+    trials, m, width = int(trials), int(m), int(width)  # numpy ints wrap
+    doubles = 2 * min(trials, BLOCK_SIZE) * m * width
+    if doubles > MAX_BLOCK_DOUBLES:
+        raise ValueError(
+            f"{min(trials, BLOCK_SIZE)} trials of {m} x {width} channels need "
+            f"{doubles} doubles, over the limit of {MAX_BLOCK_DOUBLES}")
 
 
 def workspace(name: str, shape) -> np.ndarray:

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import (OutageEstimate, channel_halves, parallel_count,
-                      require_positive, require_positive_int, seed_components,
-                      seeded_counter, workspace)
+                      require_block_fits, require_positive,
+                      require_positive_int, seed_components, seeded_counter,
+                      workspace)
 from .outage import required_snr
 
 _LN2 = math.log(2.0)
@@ -39,6 +40,7 @@ class MimoConfig:
     def __post_init__(self):
         require_positive_int(m=self.m, trials=self.trials)
         require_positive(m=self.m, p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
+        require_block_fits(self.trials, self.m, self.m)
         required_snr(self.r_tr)
         scale = self.p_mimo / (self.m * self.sigma_n2)
         if not scale <= MAX_MIMO_SCALE:

@@ -27,8 +27,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ._blocks import (BLOCK_SIZE, SUBSEED_RULE, require_bool, require_finite,
-                      require_positive, require_positive_int, seed_components)
+from ._blocks import (SUBSEED_RULE, require_block_fits, require_bool,
+                      require_finite, require_positive, require_positive_int,
+                      seed_components)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 # bench/tracer.py wraps this name to count the correlation matrices built
@@ -41,6 +42,7 @@ from .outage import (
     analytical_outage,
     monte_carlo_outage,
     outage_threshold,
+    required_snr,
 )
 from .powerplan import (
     PowerAllocation,
@@ -50,13 +52,6 @@ from .powerplan import (
     optimize_alpha,
     split,
 )
-
-# Most doubles one workspace buffer of a block may hold: 2 GiB.  The largest
-# buffer, the vector or MIMO channel, holds 2 * n * m * max(K, m) doubles; at
-# most 7.9e5 in the README, golden and benchmark runs, so a run over the limit
-# is a mistake (a budget ratio in the wrong unit, say) that would ask each
-# thread for gigabytes, and it is rejected at config time.
-MAX_BLOCK_DOUBLES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -92,6 +87,10 @@ class ExperimentConfig:
         require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps,
                          p_total=self.p_total)
         broadcast_power_bound(1, self.r_br, self.sigma_nbr2)
+        required_snr(self.r_tr)
+        for name in ("ratio_ptotal_ps", "r_br", "r_tr", "p_total",
+                     "sigma_nbr2"):  # a numpy float32 would run in float32
+            object.__setattr__(self, name, float(getattr(self, name)))
         seed_components((self.seed,))  # the master seed is one integer
         require_bool(include_baseline=self.include_baseline)
         if self.gain_mode not in GAIN_MODES:
@@ -124,18 +123,11 @@ class ExperimentConfig:
         sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
         p2 = split(self.p_total, self.alpha_grid[-1]).p2
         outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
-        for name in ("ratio_ptotal_ps", "r_br", "r_tr", "p_total",
-                     "sigma_nbr2"):  # a numpy float32 would run in float32
-            object.__setattr__(self, name, float(getattr(self, name)))
-        doubles = (2 * min(self.trials, BLOCK_SIZE) * self.m
-                   * max(k_max, self.m))
-        if doubles > MAX_BLOCK_DOUBLES:
-            raise ValueError(
-                f"m = {self.m} and K = {k_max} need a block buffer of "
-                f"{doubles} doubles, over the limit of {MAX_BLOCK_DOUBLES}")
+        require_block_fits(self.trials, self.m, max(k_max, self.m))
         if self.experiment == "snr_sweep" and self.include_baseline:
             MimoConfig(m=self.m, p_mimo=self.p_total, r_tr=self.r_tr,
-                       sigma_n2=self.sigma_n2_at(self.snr_db_grid[-1]))
+                       sigma_n2=self.sigma_n2_at(self.snr_db_grid[-1]),
+                       trials=self.trials)
 
     def _grid(self, name, default):
         value = getattr(self, name)

@@ -9,8 +9,9 @@ from typing import Optional
 import numpy as np
 
 from ._blocks import (OutageEstimate, channel_halves, chunks, parallel_count,
-                      require_finite, require_positive, require_positive_int,
-                      seed_components, seeded_counter, workspace)
+                      require_block_fits, require_finite, require_positive,
+                      require_positive_int, seed_components, seeded_counter,
+                      workspace)
 from .channel import CorrelationMatrix
 
 BOUND_VARIANTS = ("printed", "complex_convention")
@@ -78,6 +79,7 @@ class OutageConfig:
     def __post_init__(self):
         outage_threshold(self.r_tr, self.p2, self.sigma_n2)
         require_positive_int(m=self.m, k=self.k, trials=self.trials)
+        require_block_fits(self.trials, self.m, self.k)
         seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")

@@ -63,7 +63,7 @@ def broadcast_power_bound(k: int, r_br: float, sigma_nbr2: float) -> float:
     """Minimum broadcast-phase power: K * (2^r_br - 1) * sigma_nbr2."""
     require_positive_int(k=k)
     require_positive(r_br=r_br, sigma_nbr2=sigma_nbr2)
-    return k * required_snr(r_br, "r_br") * sigma_nbr2
+    return k * required_snr(r_br, "r_br") * float(sigma_nbr2)
 
 
 def broadcast_feasible(p1: float, k: int, r_br: float,

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,9 @@ def test_config_rejects_non_integer_m(m):
     (dict(experiment="snr_sweep", m=100_000), False),
     (dict(experiment="single_point", alpha_grid=[0.5], snr_db_grid=[4.0],
           ratio_ptotal_ps=1e7), False),
+    # 2 * 8192 * 2**31 * 2**31 wraps to 0 in int64
+    (dict(experiment="single_point", alpha_grid=[0.3], snr_db_grid=[4.0],
+          m=np.int64(2**31)), False),
 ])
 def test_config_bounds_a_blocks_largest_buffer(kw, ok, no_draws):
     if ok:
@@ -445,6 +449,17 @@ def test_config_holds_numpy_float32_scalars_as_floats():
         sigma_nbr2=t(1))).csv_text for t in (float, np.float32)]
     assert texts[0] == texts[1]
     assert "# p_total = 60\n" in texts[0]
+
+
+# 60 / 10**39 and 2**1000 - 1 overflow float32, not float
+@pytest.mark.parametrize("kw", [
+    dict(snr_db_grid=[390.0], p_total=np.float32(60)),
+    dict(snr_db_grid=[4.0], r_br=1000.0, sigma_nbr2=np.float32(1)),
+], ids=["p_total", "sigma_nbr2"])
+def test_config_checks_numpy_float32_scalars_as_floats(kw, no_draws):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ExperimentConfig(experiment="single_point", alpha_grid=[0.3], **kw)
 
 
 def test_config_rejects_output_path_in_missing_directory(tmp_path,

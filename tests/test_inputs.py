@@ -124,3 +124,22 @@ DRIFT = {
 def test_formerly_accepted_inputs_raise(call):
     with pytest.raises(ValueError, match="must be"):
         call()
+
+
+# a block's largest buffer holds 2 * min(trials, BLOCK_SIZE) * m * width
+# doubles, width k for OutageConfig and m for MimoConfig; 2 * 2 * 8192 * 8192
+# is the limit itself
+@pytest.mark.parametrize("call, ok", [
+    (lambda: OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3,
+                          k=5_000_000, trials=8192), False),
+    (lambda: MimoConfig(m=100_000, trials=10), False),
+    (lambda: MimoConfig(m=8192, trials=2), True),
+    (lambda: MimoConfig(m=8192, trials=3), False),
+], ids=["OutageConfig k=5e6", "MimoConfig m=1e5", "MimoConfig m=8192 n=2",
+        "MimoConfig m=8192 n=3"])
+def test_library_configs_bound_a_blocks_largest_buffer(call, ok):
+    if ok:
+        call()
+    else:
+        with pytest.raises(ValueError, match="over the limit of 268435456"):
+            call()
