@@ -25,6 +25,7 @@ BLOCK_SIZE = 8192
 # the vector or MIMO channel, holds 2 * n * m * width doubles (width K or m),
 # at most 7.9e5 in the README, golden and benchmark runs; a config over it is
 # a mistake (a budget ratio in the wrong unit, say) asking for gigabytes.
+# The m x m entries of a CorrelationMatrix are held to the same limit.
 MAX_BLOCK_DOUBLES = 1 << 28
 # doubles per chunk of a chunked draw: whole trials of about this many numbers
 CHUNK = 1 << 15

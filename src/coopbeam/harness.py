@@ -27,16 +27,14 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ._blocks import (SUBSEED_RULE, require_block_fits, require_bool,
-                      require_finite, require_positive, require_positive_int,
-                      seed_components)
+from ._blocks import (SUBSEED_RULE, require_bool, require_finite,
+                      require_positive)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
 # bench/tracer.py wraps this name to count the correlation matrices built
 from .channel import CorrelationMatrix as exponential_correlation
 from .outage import (
     BOUND_VARIANTS,
-    GAIN_MODES,
     OutageConfig,
     OutageEstimate,
     analytical_outage,
@@ -60,7 +58,9 @@ class ExperimentConfig:
 
     Grids default to the experiment's row in EXPERIMENTS and are held
     sorted, in run order; output_path is a file that can be opened for
-    writing, in a directory that exists.
+    writing, in a directory that exists.  A run is checked by building what
+    it runs: its worst point's OutageConfig, the baseline's MimoConfig and
+    ``correlations``, one CorrelationMatrix per corr_r_grid value.
     """
 
     experiment: str
@@ -79,11 +79,11 @@ class ExperimentConfig:
     p_total: float = 60.0
     sigma_nbr2: float = 1.0
     include_baseline: bool = True
+    correlations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        require_positive_int(m=self.m, trials=self.trials)
         require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps,
                          p_total=self.p_total)
         broadcast_power_bound(1, self.r_br, self.sigma_nbr2)
@@ -91,10 +91,7 @@ class ExperimentConfig:
         for name in ("ratio_ptotal_ps", "r_br", "r_tr", "p_total",
                      "sigma_nbr2"):  # a numpy float32 would run in float32
             object.__setattr__(self, name, float(getattr(self, name)))
-        seed_components((self.seed,))  # the master seed is one integer
         require_bool(include_baseline=self.include_baseline)
-        if self.gain_mode not in GAIN_MODES:
-            raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         if self.bound_variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown bound variant {self.bound_variant!r}")
         if self.output_path:
@@ -117,17 +114,17 @@ class ExperimentConfig:
                     f"{self.experiment} needs exactly one {name}")
         k_max = max(cluster_size(alpha, self.p_total, self.p_s)
                     for alpha in self.alpha_grid)
-        for r in self.corr_r_grid:
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"corr r {r} outside [0, 1)")
-        sigma_n2 = max(map(self.sigma_n2_at, self.snr_db_grid))
-        p2 = split(self.p_total, self.alpha_grid[-1]).p2
-        outage_threshold(self.r_tr, p2, sigma_n2)  # the grid's largest tau
-        require_block_fits(self.trials, self.m, max(k_max, self.m))
+        OutageConfig(  # the worst point: largest alpha and K, lowest SNR
+            r_tr=self.r_tr, p2=split(self.p_total, self.alpha_grid[-1]).p2,
+            sigma_n2=max(map(self.sigma_n2_at, self.snr_db_grid)),
+            m=self.m, k=max(k_max, 1), trials=self.trials,
+            seed=(self.seed, 0), gain_mode=self.gain_mode)
         if self.experiment == "snr_sweep" and self.include_baseline:
             MimoConfig(m=self.m, p_mimo=self.p_total, r_tr=self.r_tr,
                        sigma_n2=self.sigma_n2_at(self.snr_db_grid[-1]),
                        trials=self.trials)
+        object.__setattr__(self, "correlations", tuple(
+            exponential_correlation(self.m, r) for r in self.corr_r_grid))
 
     def _grid(self, name, default):
         value = getattr(self, name)
@@ -141,7 +138,7 @@ class ExperimentConfig:
         if not grid:
             raise ValueError("grids must be nonempty")
         written = [_fmt(v) for v in grid]
-        if len(set(written)) < len(written):
+        if len({_fmt(v + 0.0) for v in grid}) < len(grid):  # -0 as 0
             raise ValueError(f"grid {','.join(written)} repeats a value")
         return grid
 
@@ -392,13 +389,12 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     alpha = cfg.alpha_grid[0]
-    corr = [(r, exponential_correlation(cfg.m, r)) for r in cfg.corr_r_grid]
     rows = []
-    grid = itertools.product(cfg.snr_db_grid, corr)
-    for index, (snr_db, (r, C)) in enumerate(grid):
+    grid = itertools.product(cfg.snr_db_grid, cfg.correlations)
+    for index, (snr_db, C) in enumerate(grid):
         pt = _point(cfg, alpha, snr_db, index, workers, correlation=C)
         est = pt.estimate
-        rows.append((snr_db, r, C.level, est.probability, est.std_error))
+        rows.append((snr_db, C.r, C.level, est.probability, est.std_error))
     return _sweep_result(cfg, start, columns, rows, {"alpha": alpha},
                          {"alpha": _fmt(alpha)})
 

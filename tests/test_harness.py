@@ -47,14 +47,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match=re.escape(
             "alpha must lie in (0, 1), got 1.2")):
         ExperimentConfig(experiment="alpha_sweep", alpha_grid=[1.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("r must lie in [0, 1)")):
         ExperimentConfig(experiment="corr_sweep", corr_r_grid=[0.2, 1.0])
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="single_point", alpha_grid=[0.3, 0.4],
                          snr_db_grid=[4.0])
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="alpha_sweep", gain_mode="matrix")
-    with pytest.raises(ValueError):
+    for alphas in ([0.3], [0.02]):  # alpha 0.02 funds no node: K = 0
+        with pytest.raises(ValueError, match="unknown gain mode 'matrix'"):
+            ExperimentConfig(experiment="alpha_sweep", alpha_grid=alphas,
+                             gain_mode="matrix")
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
         ExperimentConfig(experiment="alpha_sweep", trials=0)
 
 
@@ -129,7 +131,10 @@ def test_config_rejects_bad_trials_and_seed(kw):
     {"alpha_grid": [0.3, 0.4, 0.30000000001]},  # both write as alpha=0.3
     {"snr_db_grid": [4.0, 6.0, 4.0]},
     {"corr_r_grid": [0.5, 0.0, 0.5]},
-], ids=["alpha", "alpha-as-written", "snr", "corr"])
+    {"snr_db_grid": [0.0, -0.0]},  # the same point under two seeds
+    {"corr_r_grid": [0.0, -0.0]},
+], ids=["alpha", "alpha-as-written", "snr", "corr", "snr-signed-zero",
+        "corr-signed-zero"])
 def test_config_rejects_repeated_grid_values(kw):
     with pytest.raises(ValueError, match="repeats a value"):
         ExperimentConfig(experiment="snr_sweep", **kw)
@@ -413,8 +418,12 @@ def test_config_rejects_non_integer_m(m):
         ExperimentConfig(experiment="alpha_sweep", m=m)
 
 
-# the largest block buffer holds 2 * min(trials, BLOCK_SIZE) * m * max(K, m)
-# doubles: 2 * 2 * 8192 * 8192 = 2**28 for the first config
+# a block's largest buffer holds 2 * min(trials, BLOCK_SIZE) * m * K doubles,
+# or * m where an snr_sweep runs the MIMO baseline: 2 * 2 * 8192 * 8192 =
+# 2**28 for the first config; a corr_sweep also builds m x m matrices
+_M200 = dict(m=200, trials=8192, alpha_grid=[0.2])  # K = 3
+
+
 @pytest.mark.parametrize("kw, ok", [
     (dict(experiment="snr_sweep", m=8192, trials=2), True),
     (dict(experiment="snr_sweep", m=8192, trials=3), False),
@@ -424,6 +433,14 @@ def test_config_rejects_non_integer_m(m):
     # 2 * 8192 * 2**31 * 2**31 wraps to 0 in int64
     (dict(experiment="single_point", alpha_grid=[0.3], snr_db_grid=[4.0],
           m=np.int64(2**31)), False),
+    (dict(experiment="alpha_sweep", **_M200), True),
+    (dict(experiment="corr_sweep", corr_r_grid=[0.5], **_M200), True),
+    (dict(experiment="single_point", snr_db_grid=[4.0], **_M200), True),
+    (dict(experiment="snr_sweep", include_baseline=False, **_M200), True),
+    (dict(experiment="snr_sweep", **_M200), False),
+    # K = 1 fits; the 20000 x 20000 correlation matrix does not
+    (dict(experiment="corr_sweep", m=20_000, trials=1, alpha_grid=[0.05]),
+     False),
 ])
 def test_config_bounds_a_blocks_largest_buffer(kw, ok, no_draws):
     if ok:

@@ -128,15 +128,16 @@ def test_formerly_accepted_inputs_raise(call):
 
 # a block's largest buffer holds 2 * min(trials, BLOCK_SIZE) * m * width
 # doubles, width k for OutageConfig and m for MimoConfig; 2 * 2 * 8192 * 8192
-# is the limit itself
+# is the limit itself, as are the 16384**2 entries of a CorrelationMatrix
 @pytest.mark.parametrize("call, ok", [
     (lambda: OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3,
                           k=5_000_000, trials=8192), False),
     (lambda: MimoConfig(m=100_000, trials=10), False),
     (lambda: MimoConfig(m=8192, trials=2), True),
     (lambda: MimoConfig(m=8192, trials=3), False),
+    (lambda: CorrelationMatrix(16385, 0.5), False),
 ], ids=["OutageConfig k=5e6", "MimoConfig m=1e5", "MimoConfig m=8192 n=2",
-        "MimoConfig m=8192 n=3"])
+        "MimoConfig m=8192 n=3", "CorrelationMatrix m=16385"])
 def test_library_configs_bound_a_blocks_largest_buffer(call, ok):
     if ok:
         call()
