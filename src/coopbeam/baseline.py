@@ -15,7 +15,7 @@ from .outage import required_snr
 
 _LN2 = math.log(2.0)
 
-# Largest p_mimo / (m * sigma_n2) a link may have.  _log_det scales each Gram
+# Largest MimoConfig.scale a link may have.  _log_det scales each Gram
 # entry by g = scale / 2, and g times any Gram sum below about 1e6 stays
 # finite; an overflow there turns into NaN capacities, counted as no outage.
 MAX_MIMO_SCALE = 1e300
@@ -42,11 +42,15 @@ class MimoConfig:
         require_positive(m=self.m, p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
         require_block_fits(self.trials, self.m, self.m)
         required_snr(self.r_tr)
-        scale = self.p_mimo / (self.m * self.sigma_n2)
-        if not scale <= MAX_MIMO_SCALE:
+        if not self.scale <= MAX_MIMO_SCALE:
             raise ValueError(f"p_mimo / (m * sigma_n2) must be at most "
-                             f"{MAX_MIMO_SCALE:g}, got {scale}")
+                             f"{MAX_MIMO_SCALE:g}, got {self.scale}")
         seed_components(self.seed)
+
+    @property
+    def scale(self) -> float:
+        """The per-antenna SNR that block_capacities runs with."""
+        return self.p_mimo / (self.m * self.sigma_n2)
 
 
 def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
@@ -127,9 +131,8 @@ def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
     Strict-inequality counting, same block-deterministic seeding contract as
     the beamforming estimator: the capacity is compared with r_tr directly.
     """
-    scale = cfg.p_mimo / (cfg.m * cfg.sigma_n2)
     count_block = seeded_counter(
-        cfg.seed, lambda rng, n: block_capacities(rng, n, cfg.m, scale),
+        cfg.seed, lambda rng, n: block_capacities(rng, n, cfg.m, cfg.scale),
         cfg.r_tr)
     count = parallel_count(count_block, cfg.trials, workers)
     return OutageEstimate.from_count(count, cfg.trials)

@@ -58,8 +58,10 @@ class ExperimentConfig:
 
     Grids default to the experiment's row in EXPERIMENTS and are held
     sorted, in run order; output_path is a file that can be opened for
-    writing, in a directory that exists.  A run is checked by building what
-    it runs: its worst point's OutageConfig, the baseline's MimoConfig and
+    writing, in a directory that exists.  Every library config a run uses
+    comes from ``_outage_config`` or ``_mimo_config``, which seed point i
+    with (seed, i); a run is checked by building, through them, its worst
+    point's OutageConfig and the baseline's MimoConfig, and by building
     ``correlations``, one CorrelationMatrix per corr_r_grid value.
     """
 
@@ -114,15 +116,11 @@ class ExperimentConfig:
                     f"{self.experiment} needs exactly one {name}")
         k_max = max(cluster_size(alpha, self.p_total, self.p_s)
                     for alpha in self.alpha_grid)
-        OutageConfig(  # the worst point: largest alpha and K, lowest SNR
-            r_tr=self.r_tr, p2=split(self.p_total, self.alpha_grid[-1]).p2,
-            sigma_n2=max(map(self.sigma_n2_at, self.snr_db_grid)),
-            m=self.m, k=max(k_max, 1), trials=self.trials,
-            seed=(self.seed, 0), gain_mode=self.gain_mode)
+        self._outage_config(  # worst point: largest alpha and K, lowest SNR
+            split(self.p_total, self.alpha_grid[-1]).p2,
+            max(map(self.sigma_n2_at, self.snr_db_grid)), max(k_max, 1), 0)
         if self.experiment == "snr_sweep" and self.include_baseline:
-            MimoConfig(m=self.m, p_mimo=self.p_total, r_tr=self.r_tr,
-                       sigma_n2=self.sigma_n2_at(self.snr_db_grid[-1]),
-                       trials=self.trials)
+            self._mimo_config(self.snr_db_grid[-1], 0)
         object.__setattr__(self, "correlations", tuple(
             exponential_correlation(self.m, r) for r in self.corr_r_grid))
 
@@ -146,6 +144,19 @@ class ExperimentConfig:
     def p_s(self) -> float:
         return self.p_total / self.ratio_ptotal_ps
 
+    def _outage_config(self, p2: float, sigma_n2: float, k: int, index: int,
+                       correlation=None) -> OutageConfig:
+        """The OutageConfig of grid point index, seeded (seed, index)."""
+        return OutageConfig(r_tr=self.r_tr, p2=p2, sigma_n2=sigma_n2, m=self.m,
+                            k=k, trials=self.trials, seed=(self.seed, index),
+                            gain_mode=self.gain_mode, correlation=correlation)
+
+    def _mimo_config(self, snr_db: float, index: int) -> MimoConfig:
+        """The MIMO baseline's MimoConfig at grid point index."""
+        return MimoConfig(m=self.m, p_mimo=self.p_total,
+                          sigma_n2=self.sigma_n2_at(snr_db), r_tr=self.r_tr,
+                          trials=self.trials, seed=(self.seed, index))
+
     def sigma_n2_at(self, snr_db: float) -> float:
         """p_total / 10**(snr_db/10); ValueError unless finite and > 0."""
         try:
@@ -160,30 +171,23 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce a run byte-exactly, plus timing.
+    """What a run varies: its config echo, row count, timing and extras.
 
-    ``header_lines`` renders the deterministic subset for the CSV header;
-    wall_clock_s is kept out of the file on purpose.
+    ``config`` is _config_echo's dict, which ends with master_seed and
+    subseed_rule.  ``header_lines`` renders all but wall_clock_s, which is
+    kept out of the file on purpose, under a ``# coopbeam <version>`` line.
     """
 
     config: dict
-    version: str
-    master_seed: int
-    subseed_rule: str
     row_count: int
-    wall_clock_s: float = 0.0
-    extra: dict = field(default_factory=dict)
+    wall_clock_s: float
+    extra: dict
 
     def header_lines(self) -> list[str]:
-        lines = [f"# coopbeam {self.version}"]
-        for key, value in self.config.items():
-            lines.append(f"# {key} = {value}")
-        lines.append(f"# master_seed = {self.master_seed}")
-        lines.append(f"# subseed_rule = {self.subseed_rule}")
-        lines.append(f"# rows = {self.row_count}")
-        for key, value in self.extra.items():
-            lines.append(f"# {key} = {value}")
-        return lines
+        items = [*self.config.items(), ("rows", self.row_count),
+                 *self.extra.items()]
+        return [f"# coopbeam {__version__}"] + [
+            f"# {key} = {value}" for key, value in items]
 
 
 @dataclass
@@ -221,16 +225,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         echo["corr_r_grid"] = ",".join(_fmt(r) for r in cfg.corr_r_grid)
     if cfg.experiment == "snr_sweep":
         echo["include_baseline"] = int(cfg.include_baseline)
+    echo["master_seed"] = cfg.seed
+    echo["subseed_rule"] = SUBSEED_RULE
     return echo
-
-
-def _manifest(cfg: ExperimentConfig, start: float, row_count: int,
-              extra=None) -> RunManifest:
-    return RunManifest(config=_config_echo(cfg), version=__version__,
-                       master_seed=cfg.seed, subseed_rule=SUBSEED_RULE,
-                       row_count=row_count,
-                       wall_clock_s=time.perf_counter() - start,
-                       extra=extra or {})
 
 
 def _start(cfg: ExperimentConfig, experiment: str) -> float:
@@ -252,7 +249,8 @@ def _write(cfg: ExperimentConfig, text: str) -> str:
 def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
                   summary, extra) -> SweepResult:
     """Manifest, CSV text and output file of a finished sweep."""
-    manifest = _manifest(cfg, start, len(rows), extra)
+    manifest = RunManifest(_config_echo(cfg), len(rows),
+                           time.perf_counter() - start, extra)
     lines = manifest.header_lines() + [",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = _write(cfg, "\n".join(lines) + "\n")
@@ -280,10 +278,7 @@ def _point(cfg: ExperimentConfig, alpha: float, snr_db: float, index: int,
         return _Point(alloc, 0, False, sigma_n2,
                       OutageEstimate(math.nan, 0, math.nan))
     feasible = broadcast_feasible(alloc.p1, k, cfg.r_br, cfg.sigma_nbr2)
-    mc_cfg = OutageConfig(r_tr=cfg.r_tr, p2=alloc.p2, sigma_n2=sigma_n2,
-                          m=cfg.m, k=k, trials=cfg.trials,
-                          seed=(cfg.seed, index), gain_mode=cfg.gain_mode,
-                          correlation=correlation)
+    mc_cfg = cfg._outage_config(alloc.p2, sigma_n2, k, index, correlation)
     return _Point(alloc, k, feasible, sigma_n2,
                   monte_carlo_outage(mc_cfg, workers=workers))
 
@@ -355,10 +350,7 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     grid = itertools.product(cfg.snr_db_grid, series)
     for index, (snr_db, (alpha, sid)) in enumerate(grid):
         if alpha is None:
-            est = mimo_outage(MimoConfig(
-                m=cfg.m, p_mimo=cfg.p_total, sigma_n2=cfg.sigma_n2_at(snr_db),
-                r_tr=cfg.r_tr, trials=cfg.trials, seed=(cfg.seed, index)),
-                workers=workers)
+            est = mimo_outage(cfg._mimo_config(snr_db, index), workers=workers)
         else:
             est = _point(cfg, alpha, snr_db, index, workers).estimate
         rows.append((snr_db, sid, est.probability, est.std_error))
@@ -437,7 +429,8 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
                 cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, pt.sigma_n2,
                 variant=variant)
-    report["manifest"] = _manifest(cfg, start, 1)
+    report["manifest"] = RunManifest(_config_echo(cfg), 1,
+                                     time.perf_counter() - start, {})
     _write(cfg, format_report(report))
     return report
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopbeam import __version__
+from coopbeam.baseline import MimoConfig
 from coopbeam.channel import CorrelationMatrix
 from coopbeam.harness import (
     EXPERIMENTS,
@@ -16,6 +19,7 @@ from coopbeam.harness import (
     run_single_point,
     run_snr_sweep,
 )
+from coopbeam.outage import OutageConfig
 
 
 def _cfg(**kw):
@@ -277,6 +281,34 @@ def test_snr_sweep_no_baseline():
     assert {row[1] for row in res.rows} == {"alpha=0.3", "alpha=0.4"}
 
 
+# the fields that differ from one grid point to the next
+_POINT_COORDINATES = {"p2", "sigma_n2", "k", "seed", "correlation"}
+
+
+def test_config_check_builds_the_configs_the_run_builds(monkeypatch):
+    import coopbeam.harness as harness
+    built = []
+    for cls in (OutageConfig, MimoConfig):
+        def record(*args, _cls=cls, **kw):
+            built.append(_cls(*args, **kw))
+            return built[-1]
+        monkeypatch.setattr(harness, cls.__name__, record)
+    cfg = _cfg(experiment="snr_sweep", snr_db_grid=[4.0, 9.0], trials=500)
+    checked = built[:]
+    del built[:]
+    run_snr_sweep(cfg)
+    assert {type(c) for c in checked} == {type(c) for c in built} == {
+        OutageConfig, MimoConfig}
+    assert {c.seed for c in built} == {(cfg.seed, i) for i in range(6)}
+    for check in checked:
+        assert isinstance(check.seed, tuple) and len(check.seed) == 2
+        assert check.seed[0] == cfg.seed and isinstance(check.seed[1], int)
+        for run in (c for c in built if type(c) is type(check)):
+            for f in dataclasses.fields(check):
+                if f.name not in _POINT_COORDINATES:
+                    assert getattr(check, f.name) == getattr(run, f.name)
+
+
 def test_zero_node_split_gives_nan_rows_in_every_sweep():
     # alpha * ratio_ptotal_ps = 0.3 rounds to zero nodes
     cfg = dict(alpha_grid=[0.02, 0.3], snr_db_grid=[4.0, 9.0],
@@ -386,9 +418,10 @@ def test_manifest_reproducibility_fields():
                snr_db_grid=[6.0])
     res = run_alpha_sweep(cfg)
     m = res.manifest
-    assert m.master_seed == 99
-    assert "default_rng([seed, i, b])" in m.subseed_rule
-    assert m.version
+    assert m.config["master_seed"] == 99
+    assert "default_rng([seed, i, b])" in m.config["subseed_rule"]
+    assert __version__
+    assert res.csv_text.splitlines()[0] == f"# coopbeam {__version__}"
     assert m.wall_clock_s > 0.0
     joined = res.csv_text
     for key in ("experiment", "trials", "gain_mode", "bound_variant",
