@@ -217,13 +217,15 @@ def parallel_count(count_block, trials: int, workers: int = 1) -> int:
     """Sum count_block(index, size) over the block partition of `trials`.
 
     count_block must depend only on its arguments (it builds its own RNG
-    from the block index), so the total is independent of scheduling.  The
-    blocks run on min(workers, blocks, CPUs available) threads.  Raises
-    ValueError unless workers is an integer >= 1.
+    from the block index), so the total is independent of scheduling.  One
+    task per thread t of T = min(workers, blocks, CPUs) sums blocks t, t + T,
+    ...  Raises ValueError unless workers is an integer >= 1.
     """
     require_positive_int(workers=workers)
     sizes = block_sizes(trials)
     threads = min(workers, len(sizes), _cpus())
     if threads <= 1:
         return sum(count_block(b, n) for b, n in enumerate(sizes))
-    return sum(_pool(threads).map(count_block, range(len(sizes)), sizes))
+    return sum(_pool(threads).map(lambda t: sum(map(
+        count_block, range(t, len(sizes), threads), sizes[t::threads])),
+        range(threads)))

@@ -43,7 +43,6 @@ from .outage import (
     required_snr,
 )
 from .powerplan import (
-    PowerAllocation,
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
@@ -60,9 +59,10 @@ class ExperimentConfig:
     sorted, in run order; output_path is a file that can be opened for
     writing, in a directory that exists.  Every library config a run uses
     comes from ``_outage_config`` or ``_mimo_config``, which seed point i
-    with (seed, i); a run is checked by building, through them, its worst
-    point's OutageConfig and the baseline's MimoConfig, and by building
-    ``correlations``, one CorrelationMatrix per corr_r_grid value.
+    with (seed, i); a run is checked by building ``splits``, ``_split`` of
+    each alpha_grid value, then, through the two builders, its worst point's
+    OutageConfig and the baseline's MimoConfig, and ``correlations``, one
+    CorrelationMatrix per corr_r_grid value.
     """
 
     experiment: str
@@ -81,6 +81,7 @@ class ExperimentConfig:
     p_total: float = 60.0
     sigma_nbr2: float = 1.0
     include_baseline: bool = True
+    splits: tuple = field(init=False, repr=False, compare=False)
     correlations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,11 +115,12 @@ class ExperimentConfig:
             if len(getattr(self, f"{name}_grid")) != 1:
                 raise ValueError(
                     f"{self.experiment} needs exactly one {name}")
-        k_max = max(cluster_size(alpha, self.p_total, self.p_s)
-                    for alpha in self.alpha_grid)
+        object.__setattr__(self, "splits",
+                           tuple(map(self._split, self.alpha_grid)))
+        alloc, k, _ = self.splits[-1]  # K and tau grow with alpha
         self._outage_config(  # worst point: largest alpha and K, lowest SNR
-            split(self.p_total, self.alpha_grid[-1]).p2,
-            max(map(self.sigma_n2_at, self.snr_db_grid)), max(k_max, 1), 0)
+            alloc.p2, max(map(self.sigma_n2_at, self.snr_db_grid)),
+            max(k, 1), 0)
         if self.experiment == "snr_sweep" and self.include_baseline:
             self._mimo_config(self.snr_db_grid[-1], 0)
         object.__setattr__(self, "correlations", tuple(
@@ -143,6 +145,14 @@ class ExperimentConfig:
     @property
     def p_s(self) -> float:
         return self.p_total / self.ratio_ptotal_ps
+
+    def _split(self, alpha: float) -> tuple:
+        """(alloc, k, feasible) of one grid alpha; a split that funds no node
+        (k = 0) is infeasible, and only a funded one checks its p1."""
+        alloc = split(self.p_total, alpha)
+        k = cluster_size(alpha, self.p_total, self.p_s)
+        return alloc, k, k > 0 and broadcast_feasible(
+            alloc.p1, k, self.r_br, self.sigma_nbr2)
 
     def _outage_config(self, p2: float, sigma_n2: float, k: int, index: int,
                        correlation=None) -> OutageConfig:
@@ -257,30 +267,15 @@ def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
     return SweepResult(columns, rows, summary, manifest, text)
 
 
-class _Point(NamedTuple):
-    """One evaluated grid point at noise variance sigma_n2; k = 0 and a
-    zero-trial NaN estimate when the power split rounds to zero nodes."""
-
-    alloc: PowerAllocation
-    k: int
-    feasible: bool
-    sigma_n2: float
-    estimate: OutageEstimate
-
-
-def _point(cfg: ExperimentConfig, alpha: float, snr_db: float, index: int,
-           workers: int, correlation=None) -> _Point:
-    """Run the Monte Carlo outage estimate of one (alpha, snr) grid point."""
-    alloc = split(cfg.p_total, alpha)
-    sigma_n2 = cfg.sigma_n2_at(snr_db)
-    k = cluster_size(alpha, cfg.p_total, cfg.p_s)
+def _point(cfg: ExperimentConfig, plan: tuple, sigma_n2: float, index: int,
+           workers: int, correlation=None) -> OutageEstimate:
+    """Monte Carlo outage estimate of grid point index at one of cfg.splits;
+    a zero-trial NaN estimate when the split funds no node."""
+    alloc, k, _ = plan
     if k == 0:
-        return _Point(alloc, 0, False, sigma_n2,
-                      OutageEstimate(math.nan, 0, math.nan))
-    feasible = broadcast_feasible(alloc.p1, k, cfg.r_br, cfg.sigma_nbr2)
+        return OutageEstimate(math.nan, 0, math.nan)
     mc_cfg = cfg._outage_config(alloc.p2, sigma_n2, k, index, correlation)
-    return _Point(alloc, k, feasible, sigma_n2,
-                  monte_carlo_outage(mc_cfg, workers=workers))
+    return monte_carlo_outage(mc_cfg, workers=workers)
 
 
 def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -293,16 +288,16 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = _start(cfg, "alpha_sweep")
     columns = ("snr_db", "alpha", "k", "feasible", "p_out_mc", "std_err",
                "p_out_analytical")
-    grid = itertools.product(cfg.snr_db_grid, cfg.alpha_grid)
+    grid = itertools.product(cfg.snr_db_grid, cfg.splits)
     rows = []
-    for index, (snr_db, alpha) in enumerate(grid):
-        pt = _point(cfg, alpha, snr_db, index, workers)
-        analytical = math.nan if pt.k == 0 else analytical_outage(
-            cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, pt.sigma_n2,
-            variant=cfg.bound_variant)
-        rows.append((snr_db, alpha, pt.k, int(pt.feasible),
-                     pt.estimate.probability, pt.estimate.std_error,
-                     analytical))
+    for index, (snr_db, plan) in enumerate(grid):
+        alloc, k, feasible = plan
+        sigma_n2 = cfg.sigma_n2_at(snr_db)
+        est = _point(cfg, plan, sigma_n2, index, workers)
+        analytical = math.nan if k == 0 else analytical_outage(
+            cfg.m, k, cfg.r_tr, alloc.p2, sigma_n2, variant=cfg.bound_variant)
+        rows.append((snr_db, alloc.alpha, k, int(feasible), est.probability,
+                     est.std_error, analytical))
     summary = {}
     for snr in cfg.snr_db_grid:
         best = optimize_alpha([row[1:5] for row in rows if row[0] == snr])
@@ -340,19 +335,19 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     start = _start(cfg, "snr_sweep")
     columns = ("snr_db", "series_id", "p_out", "std_err")
-    # (alpha, series id) per series; the MIMO baseline's alpha is None
-    series = [(a, f"alpha={_fmt(a)}") for a in cfg.alpha_grid]
+    # (split, series id) per series; the MIMO baseline's split is None
+    series = [(plan, f"alpha={_fmt(plan[0].alpha)}") for plan in cfg.splits]
     alpha_ids = [sid for _, sid in series]
     mimo_id = f"mimo{cfg.m}x{cfg.m}"
     if cfg.include_baseline:
         series.append((None, mimo_id))
     rows = []
     grid = itertools.product(cfg.snr_db_grid, series)
-    for index, (snr_db, (alpha, sid)) in enumerate(grid):
-        if alpha is None:
+    for index, (snr_db, (plan, sid)) in enumerate(grid):
+        if plan is None:
             est = mimo_outage(cfg._mimo_config(snr_db, index), workers=workers)
         else:
-            est = _point(cfg, alpha, snr_db, index, workers).estimate
+            est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers)
         rows.append((snr_db, sid, est.probability, est.std_error))
 
     def curve(sid):
@@ -380,12 +375,12 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     start = _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
-    alpha = cfg.alpha_grid[0]
+    plan = cfg.splits[0]
+    alpha = plan[0].alpha
     rows = []
     grid = itertools.product(cfg.snr_db_grid, cfg.correlations)
     for index, (snr_db, C) in enumerate(grid):
-        pt = _point(cfg, alpha, snr_db, index, workers, correlation=C)
-        est = pt.estimate
+        est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers, C)
         rows.append((snr_db, C.r, C.level, est.probability, est.std_error))
     return _sweep_result(cfg, start, columns, rows, {"alpha": alpha},
                          {"alpha": _fmt(alpha)})
@@ -401,34 +396,33 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     (probability 0 or 1 with zero standard error) and draws a warning.
     """
     start = _start(cfg, "single_point")
-    alpha = cfg.alpha_grid[0]
+    plan = cfg.splits[0]
+    alloc, k, feasible = plan
     snr_db = cfg.snr_db_grid[0]
     if cfg.trials == 1:
         warnings.warn("trials=1 gives a degenerate estimate (p in {0,1}, "
                       "std_err 0)")
-    pt = _point(cfg, alpha, snr_db, 0, workers)
+    sigma_n2 = cfg.sigma_n2_at(snr_db)
+    est = _point(cfg, plan, sigma_n2, 0, workers)
     report = {
-        "alpha": alpha,
+        "alpha": alloc.alpha,
         "snr_db": snr_db,
         "p_total": cfg.p_total,
-        "p1": pt.alloc.p1,
-        "p2": pt.alloc.p2,
-        "k": pt.k,
-        "sigma_n2": pt.sigma_n2,
-        "broadcast_bound": (broadcast_power_bound(pt.k, cfg.r_br,
-                                                  cfg.sigma_nbr2)
-                            if pt.k else math.inf),
-        "feasible": pt.feasible,
+        "p1": alloc.p1,
+        "p2": alloc.p2,
+        "k": k,
+        "sigma_n2": sigma_n2,
+        "broadcast_bound": (broadcast_power_bound(k, cfg.r_br, cfg.sigma_nbr2)
+                            if k else math.inf),
+        "feasible": feasible,
     }
-    if pt.k:
-        report["threshold"] = outage_threshold(cfg.r_tr, pt.alloc.p2,
-                                               pt.sigma_n2)
-        report["p_out_mc"] = pt.estimate.probability
-        report["std_err"] = pt.estimate.std_error
+    if k:
+        report["threshold"] = outage_threshold(cfg.r_tr, alloc.p2, sigma_n2)
+        report["p_out_mc"] = est.probability
+        report["std_err"] = est.std_error
         for variant in BOUND_VARIANTS:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
-                cfg.m, pt.k, cfg.r_tr, pt.alloc.p2, pt.sigma_n2,
-                variant=variant)
+                cfg.m, k, cfg.r_tr, alloc.p2, sigma_n2, variant=variant)
     report["manifest"] = RunManifest(_config_echo(cfg), 1,
                                      time.perf_counter() - start, {})
     _write(cfg, format_report(report))

@@ -243,6 +243,31 @@ def test_parallel_count_runs_one_thread_in_place(recording_pool,
     assert recording_pool == []
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_count_runs_each_block_once(workers, monkeypatch):
+    monkeypatch.setattr(_blocks, "_cpus", lambda: workers)
+    trials = 11 * _blocks.BLOCK_SIZE - 5
+    seen = []
+    assert parallel_count(lambda b, n: seen.append((b, n)) or n, trials,
+                          workers) == trials
+    assert sorted(seen) == list(enumerate(_blocks.block_sizes(trials)))
+
+
+def test_many_block_point_holds_one_task_per_thread(monkeypatch):
+    # one task per thread holds two results; a Future per block, all made
+    # before the first result comes back, would hold about 77 MiB here
+    monkeypatch.setattr(_blocks, "_cpus", lambda: 2)
+    blocks = 50_000
+    tracemalloc.start()
+    try:
+        total = parallel_count(lambda b, n: 1, blocks * _blocks.BLOCK_SIZE, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == blocks
+    assert peak < 4 * 2**20
+
+
 def test_one_worker_point_never_loads_the_pool(tmp_path):
     # a fresh interpreter, so no other test has imported concurrent.futures
     script = ("import sys\n"

@@ -425,13 +425,23 @@ def test_overflowing_noise_or_threshold_exits_before_any_draw(
 
 # p_s = p_total / ratio is the subnormal 5e-324 in the first run, so its
 # cluster size overflows; the second's 5,000,000 nodes would need a 305 GiB
-# block buffer
+# block buffer; the last three fund K = 1 from a p1 that rounds to 0.0
+# (p2 = 1 - 1e-17 is 1.0), which used to fail mid-run in broadcast_feasible
+_ZERO_P1 = ["--alpha", "1e-17", "--ratio-ptotal-ps", "1e17", "--p-total", "1",
+            "--snr-db", "4"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["point", "--alpha", "0.99", "--snr-db", "4", "--p-total", "1e-15",
       "--ratio-ptotal-ps", "1.7e308", "--trials", "10"], "is not finite"),
     (["point", "--alpha", "0.5", "--snr-db", "4",
       "--ratio-ptotal-ps", "1e7"], "over the limit"),
-], ids=["overflowing-k", "huge-k"])
+    (["point", *_ZERO_P1], "p1 must be positive, got 0.0"),
+    (["alpha-sweep", *_ZERO_P1], "p1 must be positive, got 0.0"),
+    (["snr-sweep", "--no-baseline", *_ZERO_P1],
+     "p1 must be positive, got 0.0"),
+], ids=["overflowing-k", "huge-k", "zero-p1-point", "zero-p1-alpha-sweep",
+        "zero-p1-snr-sweep"])
 def test_cluster_size_is_checked_before_any_draw(argv, message, tmp_path,
                                                  capsys, no_draws):
     out = tmp_path / "never.txt"

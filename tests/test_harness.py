@@ -445,6 +445,40 @@ def test_corr_sweep_builds_each_correlation_matrix_once(monkeypatch):
     assert built == [0.0, 0.25, 0.5]
 
 
+# alpha 0.02 funds no node (K = round(0.3) = 0), so it checks no p1
+@pytest.mark.parametrize("kw, alphas, funded", [
+    (dict(experiment="alpha_sweep", alpha_grid=[0.5, 0.02, 0.3],
+          snr_db_grid=[4.0, 8.0]), 3, 2),
+    (dict(experiment="snr_sweep", alpha_grid=[0.3, 0.4],
+          snr_db_grid=[4.0, 8.0], include_baseline=False), 2, 2),
+    (dict(experiment="corr_sweep", alpha_grid=[0.3], snr_db_grid=[4.0],
+          corr_r_grid=[0.0, 0.5]), 1, 1),
+    (dict(experiment="single_point", alpha_grid=[0.02], snr_db_grid=[4.0]),
+     1, 0),
+], ids=["alpha_sweep", "snr_sweep", "corr_sweep", "single_point"])
+def test_run_reads_the_splits_its_config_built(kw, alphas, funded,
+                                               monkeypatch):
+    import coopbeam.harness as harness
+    calls = dict.fromkeys(("split", "cluster_size", "broadcast_feasible"), 0)
+
+    def counter(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counter(name, getattr(harness,
+                                                                 name)))
+    cfg = _cfg(trials=500, **kw)
+    built = {"split": alphas, "cluster_size": alphas,
+             "broadcast_feasible": funded}
+    assert calls == built
+    assert [alloc.alpha for alloc, _, _ in cfg.splits] == list(cfg.alpha_grid)
+    EXPERIMENTS[cfg.experiment].runner(cfg)
+    assert calls == built
+
+
 @pytest.mark.parametrize("m", [2.5, 3.0, True, "3", 0])
 def test_config_rejects_non_integer_m(m):
     with pytest.raises(ValueError, match="m must be an integer >= 1"):
