@@ -22,9 +22,10 @@ import numpy as np
 
 BLOCK_SIZE = 8192
 # Most doubles one workspace buffer of a block may hold: 2 GiB.  The largest,
-# the vector or MIMO channel, holds 2 * n * m * width doubles (width K or m),
-# at most 7.9e5 in the README, golden and benchmark runs; a config over it is
-# a mistake (a budget ratio in the wrong unit, say) asking for gigabytes.
+# the vector channel, holds 2 * n * m * K doubles, at most 7.9e5 in the
+# README, golden and benchmark runs; the MIMO Gram holds n * m * m but is held
+# to 2 * n * m * m all the same.  A config over the limit is a mistake (a
+# budget ratio in the wrong unit, say) asking for gigabytes.
 # The m x m entries of a CorrelationMatrix are held to the same limit.
 MAX_BLOCK_DOUBLES = 1 << 28
 # doubles per chunk of a chunked draw: whole trials of about this many numbers
@@ -116,12 +117,12 @@ def workspace(name: str, shape) -> np.ndarray:
     for the life of the thread.
 
     A name is a role, not one kernel's array, so that a thread running
-    several kernels keeps one buffer per role: "channel" holds a block's
-    whole channel (the vector draw, the MIMO copy), "chunk" one chunk of a
-    chunked draw, and "acc" a block's accumulator (the frobenius column
-    norms, the MIMO Gram).  Under the rule above, a kernel may also take
-    scratch from a buffer whose contents it no longer needs, as the MIMO
-    log-det does from "chunk" and "channel".
+    several kernels keeps one buffer per role: "channel" a block's channel
+    copy (the vector draw, a chunk of MIMO imaginary parts), "chunk" one
+    chunk of a chunked draw, and "acc" a block's accumulator (the frobenius
+    column norms, the MIMO real parts, then Gram).  Under the rule above, a
+    kernel may also take scratch from a buffer whose contents it no longer
+    needs, as the MIMO kernel does from "chunk" and "channel".
     """
     buffers = _workspace.__dict__
     size = math.prod(shape)

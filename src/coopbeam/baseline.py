@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import (OutageEstimate, channel_halves, parallel_count,
+from ._blocks import (OutageEstimate, channel_halves, chunks, parallel_count,
                       require_block_fits, require_positive,
                       require_positive_int, seed_components, seeded_counter,
                       workspace)
@@ -15,8 +15,8 @@ from .outage import required_snr
 
 _LN2 = math.log(2.0)
 
-# Largest MimoConfig.scale a link may have.  _log_det scales each Gram
-# entry by g = scale / 2, and g times any Gram sum below about 1e6 stays
+# Largest MimoConfig.scale a link may have.  block_capacities scales each
+# Gram entry by g = scale / 2, and g times any Gram sum below about 1e6 stays
 # finite; an overflow there turns into NaN capacities, counted as no outage.
 MAX_MIMO_SCALE = 1e300
 
@@ -24,11 +24,8 @@ MAX_MIMO_SCALE = 1e300
 @dataclass(frozen=True)
 class MimoConfig:
     """Open-loop MIMO link: m x m iid Rayleigh, equal per-antenna power.
-
-    p_mimo is the total transmit power of the compared system (the same
-    budget the two-phase scheme spends), split equally across the m
-    transmit antennas.
-    """
+    p_mimo is the compared system's total transmit power (the budget the
+    two-phase scheme spends), split equally across the m antennas."""
 
     m: int = 3
     p_mimo: float = 60.0
@@ -53,41 +50,30 @@ class MimoConfig:
         return self.p_mimo / (self.m * self.sigma_n2)
 
 
-def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
-    """Natural log det(I + g * H H^H) for H = hr + j*hi, one per trial.
-
-    hr and hi are (m, m, n): entry (i, j) of every trial's H is a length-n
-    vector.  Only the lower triangle of the Hermitian matrix is built, as
-    real and imaginary n-vectors packed into one (m, m, n) array ``a``: the
-    real part of entry (i, k), k <= i, is a[i, k] and its imaginary part,
-    for k < i, is a[k, i] in the otherwise unused upper triangle.  An
-    unpivoted LDL^H elimination runs over it.  Every eigenvalue of the
-    matrix is >= 1, so no pivoting is needed; the log det is the sum of the
-    logs of the pivots.
-    Every array lives in this thread's workspace, in buffers that
-    block_capacities is done with: the matrix in "acc", the two product
-    temporaries in the draw's "chunk", and, once the matrix is built, the
-    result and the pivot lanes (1 / pivot and the two parts of a
-    multiplier) in four n-vectors of "channel".  So hr and hi are not read
-    after the build, and the result is a view that the next call
-    overwrites.
-    """
-    m, n = hr.shape[0], hr.shape[2]
-    a = workspace("acc", (m, m, n))
-    t, s = workspace("chunk", (2, n))
+def _gram(hr, hi, a, t) -> None:
+    """The Gram H H^H of H = hr + j*hi, (m, m, w) arrays of length-w entries,
+    packed into a: entry (i, k), k <= i, is a[i, k] + j*a[k, i] (a real
+    diagonal).  t is a length-w temporary."""
+    m = hr.shape[0]
     for i in range(m):
         for k in range(i + 1):
             # (H H^H)[i, k] = sum_j H[i, j] * conj(H[k, j])
             r = np.einsum("jn,jn->n", hr[i], hr[k], out=a[i, k])
             r += np.einsum("jn,jn->n", hi[i], hi[k], out=t)
-            r *= g
-            if i == k:
-                r += 1.0
-            else:
+            if k < i:
                 q = np.einsum("jn,jn->n", hi[i], hr[k], out=a[k, i])
                 q -= np.einsum("jn,jn->n", hr[i], hi[k], out=t)
-                q *= g
-    logdet, inv, lr, li = workspace("channel", (4, n))
+
+
+def _ldl_log_det(a, logdet):
+    """logdet = natural log det(I + A) of each scaled Gram A packed in the
+    (m, m, n) array a, by unpivoted LDL^H in a (I + A has no eigenvalue
+    below 1), with lanes from "channel" and products from "chunk"."""
+    m, n = a.shape[0], a.shape[2]
+    for i in range(m):
+        a[i, i] += 1.0
+    inv, lr, li = workspace("channel", (3, n))
+    t, s = workspace("chunk", (2, n))
     np.log(a[0, 0], out=logdet)
     for j in range(m - 1):
         np.divide(1.0, a[j, j], out=inv)
@@ -108,29 +94,42 @@ def _log_det(hr: np.ndarray, hi: np.ndarray, g: float) -> np.ndarray:
     return logdet
 
 
+def _log_det(hr, hi, g):
+    """Natural log det(I + g * H H^H) of each (m, mt, n) H = hr + j*hi."""
+    m, n = hr.shape[0], hr.shape[2]
+    a, logdet = workspace("acc", (m, m, n)), np.empty(n)
+    _gram(hr, hi, a, logdet)
+    a *= g
+    return _ldl_log_det(a, logdet)
+
+
 def block_capacities(rng: np.random.Generator, n: int, m: int,
                      scale: float) -> np.ndarray:
-    """Capacities in bits/s/Hz of n channels drawn from rng, as a new array.
-
-    Draw order: the channel's real parts, then its imaginary parts, as
-    ``(n, m, m)`` standard normals each.  They come from channel_halves and
-    are copied into this thread's entry-major (2, m, m, n) "channel"
-    buffer, which _log_det then reuses.  The model is H = (re + j*im) /
-    sqrt(2), and the capacity is log2 det(I + scale * H H^H); the 1/sqrt(2)
-    is folded into scale / 2.
+    """log2 det(I + scale * H H^H), H = (re + j*im) / sqrt(2), of n channels
+    drawn by channel_halves, as a new array.  The real parts go entry-major
+    into this thread's (m, m, n) "acc"; each chunk of imaginary parts into
+    "channel", its Gram into its "chunk", then, scaled, over its real parts.
     """
-    h = workspace("channel", (2, m, m, n))
+    capacity, acc = np.empty(n), workspace("acc", (m, m, n))
+    # rows keep the first chunk's stride (two trials at least), so a one-trial
+    # chunk is strided as in acc: einsum sums a contiguous one in another order
+    hi = workspace("channel", (m, m, max(chunks(n, m * m)[0][1], min(n, 2))))
     for half, start, stop, z in channel_halves(rng, n, (m, m)):
-        h[half, ..., start:stop] = np.moveaxis(z, 0, -1)
-    return _log_det(h[0], h[1], scale / 2.0) / _LN2
+        hr = acc[..., start:stop]
+        if half == 0:
+            hr[...] = z.transpose(1, 2, 0)
+        else:
+            h = hi[..., :stop - start]
+            h[...] = z.transpose(1, 2, 0)
+            gram = workspace("chunk", h.shape)
+            _gram(hr, h, gram, capacity[start:stop])
+            np.multiply(gram, scale / 2.0, out=hr)
+    return np.divide(_ldl_log_det(acc, capacity), _LN2, out=capacity)
 
 
 def mimo_outage(cfg: MimoConfig, workers: int = 1) -> OutageEstimate:
-    """Monte Carlo P(capacity < r_tr) for the equal-power MIMO link.
-
-    Strict-inequality counting, same block-deterministic seeding contract as
-    the beamforming estimator: the capacity is compared with r_tr directly.
-    """
+    """Monte Carlo P(capacity < r_tr) for the equal-power MIMO link: strict
+    counting, on the beamforming estimator's block-seeding contract."""
     count_block = seeded_counter(
         cfg.seed, lambda rng, n: block_capacities(rng, n, cfg.m, cfg.scale),
         cfg.r_tr)

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from coopbeam._blocks import BLOCK_SIZE
+from coopbeam._blocks import BLOCK_SIZE, CHUNK
 from coopbeam.baseline import (
     MAX_MIMO_SCALE,
     MimoConfig,
@@ -179,6 +180,56 @@ def test_block_capacities_chunk_edges(m, n):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     for r_tr in gap_thresholds(ref):
         assert np.count_nonzero(got < r_tr) == np.count_nonzero(ref < r_tr)
+
+
+# The first 16 hex digits of the sha256 of the capacities of
+# block_capacities(default_rng([3, m, n]), n, m, scale) at scale 0.1, 20 and
+# 1e5, recorded when the kernel still copied both channel halves.  n is one
+# trial, one trial past a chunk (so a last chunk of one trial) and a full
+# block.  numpy's AVX-512 np.log and libm's log can differ in the last bit,
+# so where the bytes depend on it there are two digests: AVX-512, then libm.
+KERNEL_PINS = {
+    (1, 1): ("fd699815c7ba66f4",),
+    (1, 32769): ("837d08648eafc743", "ec8d7f3639fcc997"),
+    (1, 8192): ("72cf195d748b23b2", "2e07c59890acbaae"),
+    (2, 1): ("25eae2959ffbd91b",),
+    (2, 8193): ("e7277f71603521cf", "7d50a2591299568f"),
+    (2, 8192): ("2cb8b45b049188a1", "fc01fa0911a30e4a"),
+    (3, 1): ("28d4b0faf2237c69",),
+    (3, 3641): ("f53894ee7dda4d79", "36ba1363c5c43368"),
+    (3, 8192): ("95a38e22ce5fba46", "1f582ce41a756a13"),
+    (4, 1): ("f9680410c9d95294",),
+    (4, 2049): ("6230f880a2637f11", "17a0388449930d75"),
+    (4, 8192): ("d5444d1e08e440e4", "ea1ebda7bb4aa820"),
+    (8, 1): ("fabbb04998ccb311",),
+    (8, 513): ("e2f6fb8e51d7c035",),
+    (8, 8192): ("6d7b4af51575b9cc", "4dd437a71ae8f738"),
+    (16, 1): ("a467ff6c7837dd03",),
+    (16, 129): ("9ecbfebfada468e9",),
+    (16, 8192): ("b8eae29d72d44ad4", "c51eed8ad977caf6"),
+}
+
+
+def _digest(m, n, scales):
+    digest = hashlib.sha256()
+    for scale in scales:
+        digest.update(block_capacities(np.random.default_rng([3, m, n]), n,
+                                       m, scale).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("m, n", [
+    pytest.param(m, n, id=f"{m}-{m}-n{n}") for m in (1, 2, 3, 4, 8, 16)
+    for n in (1, CHUNK // (m * m) + 1, BLOCK_SIZE)])
+def test_block_capacities_bytes_are_pinned(m, n):
+    assert _digest(m, n, (0.1, 20.0, 1e5))[:16] in KERNEL_PINS[m, n]
+
+
+def test_one_trial_chunks_of_a_wide_link_keep_their_bytes():
+    # 129 x 129 channels come one trial per chunk; einsum sums a trial's
+    # rows in another order when they are contiguous than when they are
+    # strided, as they are in a block of two or more trials
+    assert _digest(129, 2, (20.0,))[:16] == "49fbc9def89d3cd6"
 
 
 @pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])

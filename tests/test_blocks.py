@@ -129,21 +129,25 @@ def test_warm_block_allocates_about_its_result(kernel, args):
     assert peak <= 4 * N * 8
 
 
-@pytest.mark.parametrize("m, n", [(1, 7), (3, 8192), (4, 3616)])
-def test_mimo_gram_is_one_m_by_m_buffer(m, n):
-    # the Hermitian Gram packs its imaginary parts into the upper triangle
-    def gram_size():
+@pytest.mark.parametrize("m, n", [(1, 7), (3, 8192), (4, 3616), (8, 8192),
+                                  (16, 129)])
+def test_mimo_block_keeps_one_m_by_m_buffer(m, n):
+    # one (m, m, n) array holds the real parts and then the Gram; beside it
+    # there are two temporaries, each one chunk of the draw or three of the
+    # LDL's n-vectors: the draw chunk and one chunk of imaginary parts
+    def doubles():
         block_capacities(np.random.default_rng(m), n, m, 10.0)
-        return _blocks._workspace.__dict__["acc"].size
+        return sum(buf.size for buf in _blocks._workspace.__dict__.values())
 
-    assert _in_new_thread(gram_size) == m * m * n
+    chunk = min(n, _blocks.CHUNK // (m * m)) * m * m  # whole m x m trials
+    assert _in_new_thread(doubles) <= m * m * n + 2 * max(chunk, 3 * n)
 
 
 def test_frobenius_and_mimo_blocks_share_their_workspace():
-    # an snr-sweep thread runs both kernels; the MIMO kernel reuses the
-    # frobenius accumulator for its Gram and takes its log-det lanes from
-    # buffers it is done with, so only the frobenius-only total, power and
-    # norm are added to what the MIMO block needs
+    # an snr-sweep thread runs both kernels; the MIMO kernel keeps its real
+    # parts and Gram in the frobenius accumulator, one chunk of imaginary
+    # parts in "channel" and the chunk's Gram in the draw chunk, so only the
+    # frobenius-only total, power and norm are added to what it needs
     m, k = 3, 6
 
     def doubles():
@@ -152,11 +156,11 @@ def test_frobenius_and_mimo_blocks_share_their_workspace():
         block_capacities(rng, N, m, 20.0)
         return sum(buf.size for buf in _blocks._workspace.__dict__.values())
 
-    channel, gram = 2 * m * m * N, m * m * N
+    gram = m * m * N
     chunk = _blocks.CHUNK // (m * m) * m * m  # whole m x m trials
     total = _blocks.CHUNK // (m * k) * k
-    limit = channel + gram + chunk + total + 2 * N  # + power and norm
-    assert limit == 281_248
+    limit = gram + 2 * chunk + total + 2 * N  # + power and norm
+    assert limit == 166_552
     assert _in_new_thread(doubles) <= limit
 
 

@@ -60,7 +60,8 @@ GOLDEN = {
          "--workers", "2"],
         "76d347fd248cba81ed63421089703917f10a385d6250e936932d1d4eb1cf8ce9"),
     # one thread alternates the vector and 4x4 MIMO kernels, which share
-    # their "channel" buffer at different sizes
+    # their "channel" buffer: the whole vector draw, then one chunk of MIMO
+    # imaginary parts and the LDL lanes
     "snr-vector-m4-workers1": (
         ["snr-sweep", "--gain-mode", "vector", "--m", "4", "--snr-db", "3",
          "--snr-db", "9", "--trials", FULL_AND_PARTIAL, "--seed", "29",
