@@ -68,14 +68,15 @@ def _gram(hr, hi, a, t) -> None:
 def _ldl_log_det(a, logdet):
     """logdet = natural log det(I + A) of each scaled Gram A packed in the
     (m, m, n) array a, by unpivoted LDL^H in a (I + A has no eigenvalue
-    below 1), with lanes from "channel" and products from "chunk"."""
+    below 1).  Only an m >= 2 elimination takes scratch: lanes from
+    "channel" and products from "chunk"."""
     m, n = a.shape[0], a.shape[2]
     for i in range(m):
         a[i, i] += 1.0
-    inv, lr, li = workspace("channel", (3, n))
-    t, s = workspace("chunk", (2, n))
     np.log(a[0, 0], out=logdet)
     for j in range(m - 1):
+        inv, lr, li = workspace("channel", (3, n))
+        t, s = workspace("chunk", (2, n))
         np.divide(1.0, a[j, j], out=inv)
         for i in range(j + 1, m):
             # A[i, k] -= l * conj(A[k, j]) with l = A[i, j] / A[j, j]
@@ -92,15 +93,6 @@ def _ldl_log_det(a, logdet):
                     a[k, i] -= t
         logdet += np.log(a[j + 1, j + 1], out=t)
     return logdet
-
-
-def _log_det(hr, hi, g):
-    """Natural log det(I + g * H H^H) of each (m, mt, n) H = hr + j*hi."""
-    m, n = hr.shape[0], hr.shape[2]
-    a, logdet = workspace("acc", (m, m, n)), np.empty(n)
-    _gram(hr, hi, a, logdet)
-    a *= g
-    return _ldl_log_det(a, logdet)
 
 
 def block_capacities(rng: np.random.Generator, n: int, m: int,

@@ -8,10 +8,21 @@ from coopbeam._blocks import BLOCK_SIZE, CHUNK
 from coopbeam.baseline import (
     MAX_MIMO_SCALE,
     MimoConfig,
-    _log_det,
+    _gram,
+    _ldl_log_det,
     block_capacities,
     mimo_outage,
 )
+
+
+def _log2_det(hr, hi, g):
+    """log2 det(I + g * H H^H) of each (m, mt, n) H = hr + j*hi, by the
+    steps block_capacities runs: the Gram, the scale g, then the LDL."""
+    m, n = hr.shape[0], hr.shape[2]
+    a, logdet = np.empty((m, m, n)), np.empty(n)
+    _gram(hr, hi, a, logdet)
+    a *= g
+    return _ldl_log_det(a, logdet) / math.log(2.0)
 
 
 def _capacity(H, g):
@@ -19,8 +30,7 @@ def _capacity(H, g):
     equal-power link of total power p over m antennas has
     g = p / (m * sigma_n2)."""
     H = np.asarray(H)
-    return float(_log_det(H.real[..., None], H.imag[..., None], g)[0]
-                 / math.log(2.0))
+    return float(_log2_det(H.real[..., None], H.imag[..., None], g)[0])
 
 
 def test_capacity_identity_channel_boundary():
@@ -72,9 +82,9 @@ ANTENNAS = _links(1, 2, 3, 4)
 @pytest.mark.parametrize("n_tx", (1, 2, 3, 4))
 @pytest.mark.parametrize("n_rx", (1, 2, 3, 4))
 def test_block_capacities_match_complex_reference(n_rx, n_tx, scale, n):
-    # block_capacities draws the square link; its kernel _log_det builds the
-    # Gram of H's rows, so an n_rx x n_tx link checks the kernel alone on
-    # the reference's own draws
+    # block_capacities draws the square link; its kernel steps build the
+    # Gram of H's rows, so an n_rx x n_tx link checks them alone on the
+    # reference's own draws
     seed = (n_rx, n_tx, n)
     ref = _reference_capacities(np.random.default_rng(seed), n, n_rx, n_tx,
                                 scale)
@@ -82,8 +92,8 @@ def test_block_capacities_match_complex_reference(n_rx, n_tx, scale, n):
         got = block_capacities(np.random.default_rng(seed), n, n_rx, scale)
     else:
         z = np.random.default_rng(seed).standard_normal((2, n, n_rx, n_tx))
-        got = _log_det(np.moveaxis(z[0], 0, -1), np.moveaxis(z[1], 0, -1),
-                       scale / 2.0) / math.log(2.0)
+        got = _log2_det(np.moveaxis(z[0], 0, -1), np.moveaxis(z[1], 0, -1),
+                        scale / 2.0)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 

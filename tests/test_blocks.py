@@ -6,6 +6,7 @@ that array.
 """
 
 import concurrent.futures
+import hashlib
 import os
 import subprocess
 import sys
@@ -164,6 +165,20 @@ def test_frobenius_and_mimo_blocks_share_their_workspace():
     assert _in_new_thread(doubles) <= limit
 
 
+@pytest.mark.parametrize("n", [7, N])
+def test_one_by_one_mimo_block_holds_n_doubles_per_buffer(n):
+    # a 1 x 1 link has no LDL elimination, so it takes no lanes or products:
+    # each buffer holds at most the block's real parts, one chunk of its
+    # imaginary parts or that chunk's Gram
+    def sizes():
+        block_capacities(np.random.default_rng(1), n, 1, 10.0)
+        return {name: buf.size
+                for name, buf in _blocks._workspace.__dict__.items()}
+
+    got = _in_new_thread(sizes)
+    assert max(got.values()) <= n, got
+
+
 def test_vector_block_keeps_three_weight_buffers():
     # u**2 and sin(theta) go into the phase buffer, so beside the channel,
     # the three (n, m) products, power and norm the kernel keeps only u,
@@ -178,6 +193,19 @@ def test_vector_block_keeps_three_weight_buffers():
     limit = channel + 3 * N * k + 3 * N * m + 2 * N  # + power and norm
     assert limit == 458_752
     assert _in_new_thread(doubles) <= limit
+
+
+def test_numpy_stream_is_the_one_the_golden_bytes_were_drawn_from():
+    # every pinned digest starts from numpy's PCG64 normal and uniform
+    # streams; if these change, the golden and kernel-pin failures beside
+    # this one are numpy's, not coopbeam's
+    rng = np.random.default_rng([1, 0, 0])
+    digest = hashlib.sha256(rng.standard_normal(4096).tobytes()
+                            + rng.random(4096).tobytes()).hexdigest()[:16]
+    assert digest == "6d2ef460e9687116", (
+        f"numpy {np.__version__} draws another random stream; golden "
+        f"mismatches seen alongside this come from numpy's stream, not from "
+        f"coopbeam")
 
 
 # ------------------------------------------------------------------ workers

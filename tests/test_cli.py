@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -610,3 +611,31 @@ def test_benchmark_trace_mode_spans_every_layer(tmp_path, capsys):
         assert main([*argv, "--out", str(plain)]) == 0
         assert traced.read_bytes() == plain.read_bytes()
     assert names == set(tracer.LAYER_OF) | {"block"}
+
+
+
+def test_no_private_src_code_is_reached_only_by_the_tests():
+    # a private top-level def or class that no other src/ code names (as a
+    # name, an attribute or an import) runs in no experiment; the tests
+    # should call the steps a kernel runs, not a seam kept for them
+    defined, uses = {}, []
+    for path in sorted((SRC / "coopbeam").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                owner = top.name
+                if owner.startswith("_"):
+                    defined[owner] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    uses.append((path.name, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((path.name, owner, node.attr))
+                elif isinstance(node, ast.alias):
+                    uses.append((path.name, owner, node.name))
+    # a name used only inside its own definition is not reached
+    reached = {name for where, owner, name in uses
+               if (where, owner) != (defined.get(name), name)}
+    assert {name: where for name, where in defined.items()
+            if name not in reached} == {}
