@@ -8,8 +8,10 @@ Subcommands map one-to-one onto the harness runners::
     coopbeam point --alpha 0.4 --snr-db 4
 
 Flags override entries of an optional key=value config file (--config);
-COOPBEAM_OUTDIR supplies the default output directory only.  Exit status is
-0 on success, 1 on an infeasible single point, 2 on invalid configuration.
+COOPBEAM_OUTDIR supplies the default output directory only.  main owns
+the output file, checked before any draw and written after the run.  Exit
+status is 0 on success, 1 on an infeasible single point, 2 on invalid
+configuration.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 from ._blocks import require_finite, require_positive_int
 from .harness import EXPERIMENTS, ExperimentConfig, format_report
@@ -66,7 +69,7 @@ def load_config_file(path: str) -> dict:
     for a key given twice.
     """
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no key
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -113,8 +116,9 @@ def _flag(parser, flag: str, group=None, **kwargs) -> None:
 
     The key, the flag without '--' and with '_' for '-', maps in the
     parser's config_keys default to the flag's dest (the ExperimentConfig
-    field it sets, but for workers) and the parser of a file value: by the
-    flag's action in _FILE_PARSERS, else the flag's type, else str.
+    field it sets, but for workers and output_path, which main takes) and
+    the parser of a file value: by the flag's action in _FILE_PARSERS, else
+    the flag's type, else str.
     """
     action = (group or parser).add_argument(flag, **kwargs)
     parse = _FILE_PARSERS.get(kwargs.get("action"), action.type or str)
@@ -207,6 +211,19 @@ def _merge(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _probe(path: str) -> None:
+    """Raise ValueError, with the system's reason, unless path can be opened
+    for writing; a file the check creates is removed again."""
+    created = not os.path.exists(path)
+    try:  # a name the sweep could not open fails before any draw
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write output path "
+                         f"{path!r}: {exc.strerror}") from None
+    if created:  # the file, not a dangling link to it
+        os.remove(os.path.realpath(path))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     point = args.experiment == "single_point"
@@ -214,22 +231,30 @@ def main(argv=None) -> int:
         merged = _merge(args)
         workers = merged.pop("workers", 1)
         require_positive_int(workers=workers)
-        if not point and not merged.get("output_path"):
-            merged["output_path"] = os.path.join(
-                os.environ.get(OUTDIR_ENV, ""), args.command + ".csv")
+        path = merged.pop("output_path", None)
+        if not point and not path:
+            path = os.path.join(os.environ.get(OUTDIR_ENV, ""),
+                                args.command + ".csv")
+        if path:
+            _probe(path)
         cfg = ExperimentConfig(experiment=args.experiment, **merged)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    start = time.perf_counter()
     result = _RUNNERS[args.experiment](cfg, workers=workers)
+    wall_clock_s = time.perf_counter() - start
+    text = format_report(result) if point else result.csv_text
     if point:
-        print(format_report(result), end="")
-    manifest = result["manifest"] if point else result.manifest
+        print(text, end="")
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
     # wall-clock goes to stderr only, so output files stay reproducible
-    print(f"wall_clock_s = {manifest.wall_clock_s:.3f}", file=sys.stderr)
+    print(f"wall_clock_s = {wall_clock_s:.3f}", file=sys.stderr)
     if not point:
-        print(f"wrote {cfg.output_path} ({manifest.row_count} rows)")
+        print(f"wrote {path} ({result.manifest.row_count} rows)")
     elif not result["feasible"]:
         print("infeasible: broadcast power bound unmet", file=sys.stderr)
         return 1

@@ -12,17 +12,16 @@ Conventions used by every experiment
 * Grid point i seeds its Monte Carlo blocks by ``_blocks.SUBSEED_RULE``;
   the outage reduction is an integer count, so output bytes do not depend
   on the worker count.
-* CSV files and point reports carry a '#'-prefixed manifest header.
-  Wall-clock time is deliberately NOT written to the file (it would break
-  byte-for-byte reproducibility); the CLI prints it to stderr.
+* CSV text and point reports carry a '#'-prefixed manifest header.
+* The runners compute and return text (``SweepResult.csv_text``, or
+  ``format_report`` of the point report); they open no file and read no
+  clock.  The CLI writes the file and prints the wall-clock time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -56,11 +55,10 @@ class ExperimentConfig:
     """Full parameterization of one experiment run.
 
     Grids default to the experiment's row in EXPERIMENTS and are held
-    sorted, in run order; output_path is a file that can be opened for
-    writing, in a directory that exists.  Every library config a run uses
-    comes from ``_outage_config`` or ``_mimo_config``, which seed point i
-    with (seed, i); a run is checked by building ``splits``, ``_split`` of
-    each alpha_grid value, then, through the two builders, its worst point's
+    sorted, in run order.  Every library config a run uses comes from
+    ``_outage_config`` or ``_mimo_config``, which seed point i with
+    (seed, i); a run is checked by building ``splits``, ``_split`` of each
+    alpha_grid value, then, through the two builders, its worst point's
     OutageConfig and the baseline's MimoConfig, and ``correlations``, one
     CorrelationMatrix per corr_r_grid value.
     """
@@ -77,7 +75,6 @@ class ExperimentConfig:
     seed: int = 1234
     gain_mode: str = "frobenius"
     bound_variant: str = "printed"
-    output_path: Optional[str] = None
     p_total: float = 60.0
     sigma_nbr2: float = 1.0
     include_baseline: bool = True
@@ -97,16 +94,6 @@ class ExperimentConfig:
         require_bool(include_baseline=self.include_baseline)
         if self.bound_variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown bound variant {self.bound_variant!r}")
-        if self.output_path:
-            created = not os.path.exists(self.output_path)
-            try:  # a name the sweep could not open fails before any draw
-                open(self.output_path, "a").close()
-            except OSError as exc:
-                raise ValueError(f"cannot write output path "
-                                 f"{self.output_path!r}: {exc.strerror}"
-                                 ) from None
-            if created:  # the file, not a dangling link to it
-                os.remove(os.path.realpath(self.output_path))
         row = EXPERIMENTS[self.experiment]
         for name in ("alpha", "snr_db", "corr_r"):
             object.__setattr__(self, f"{name}_grid",
@@ -181,16 +168,15 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """What a run varies: its config echo, row count, timing and extras.
+    """What a run varies: its config echo, row count and extras.
 
     ``config`` is _config_echo's dict, which ends with master_seed and
-    subseed_rule.  ``header_lines`` renders all but wall_clock_s, which is
-    kept out of the file on purpose, under a ``# coopbeam <version>`` line.
+    subseed_rule.  ``header_lines`` renders every field, under a
+    ``# coopbeam <version>`` line.
     """
 
     config: dict
     row_count: int
-    wall_clock_s: float
     extra: dict
 
     def header_lines(self) -> list[str]:
@@ -240,31 +226,21 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _start(cfg: ExperimentConfig, experiment: str) -> float:
-    """Start time of a run, after checking that cfg is for this runner."""
+def _start(cfg: ExperimentConfig, experiment: str) -> None:
+    """Check that cfg is for this runner."""
     if cfg.experiment != experiment:
         raise ValueError(
             f"{experiment} runner given a {cfg.experiment} config")
-    return time.perf_counter()
 
 
-def _write(cfg: ExperimentConfig, text: str) -> str:
-    """Write a run's text to cfg.output_path, if set, and return it."""
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def _sweep_result(cfg: ExperimentConfig, start: float, columns, rows,
-                  summary, extra) -> SweepResult:
-    """Manifest, CSV text and output file of a finished sweep."""
-    manifest = RunManifest(_config_echo(cfg), len(rows),
-                           time.perf_counter() - start, extra)
+def _sweep_result(cfg: ExperimentConfig, columns, rows, summary,
+                  extra) -> SweepResult:
+    """Manifest and CSV text of a finished sweep."""
+    manifest = RunManifest(_config_echo(cfg), len(rows), extra)
     lines = manifest.header_lines() + [",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = _write(cfg, "\n".join(lines) + "\n")
-    return SweepResult(columns, rows, summary, manifest, text)
+    return SweepResult(columns, rows, summary, manifest,
+                       "\n".join(lines) + "\n")
 
 
 def _point(cfg: ExperimentConfig, plan: tuple, sigma_n2: float, index: int,
@@ -285,7 +261,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     Infeasible allocations are flagged (feasible = 0), never dropped, and do
     not participate in the per-SNR alpha* summary.
     """
-    start = _start(cfg, "alpha_sweep")
+    _start(cfg, "alpha_sweep")
     columns = ("snr_db", "alpha", "k", "feasible", "p_out_mc", "std_err",
                "p_out_analytical")
     grid = itertools.product(cfg.snr_db_grid, cfg.splits)
@@ -307,7 +283,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
              f"{_fmt(s['alpha_star'])} (k={s['k_star']}, "
              f"p_out_mc={_fmt(s['p_out_star'])})"
              for snr, s in summary.items()}
-    return _sweep_result(cfg, start, columns, rows, summary, extra)
+    return _sweep_result(cfg, columns, rows, summary, extra)
 
 
 def _crossovers(snrs, series_a, series_b) -> list[float]:
@@ -333,7 +309,7 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     one ``mimo{m}x{m}`` series (unless include_baseline is off).  Measured
     series crossovers are recorded in the manifest.
     """
-    start = _start(cfg, "snr_sweep")
+    _start(cfg, "snr_sweep")
     columns = ("snr_db", "series_id", "p_out", "std_err")
     # (split, series id) per series; the MIMO baseline's split is None
     series = [(plan, f"alpha={_fmt(plan[0].alpha)}") for plan in cfg.splits]
@@ -363,7 +339,7 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
             ",".join(_fmt(x) for x in xs) if xs else "none"
         )
     summary = {"series": [sid for _, sid in series], "crossovers": extra}
-    return _sweep_result(cfg, start, columns, rows, summary, extra)
+    return _sweep_result(cfg, columns, rows, summary, extra)
 
 
 def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -373,7 +349,7 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     off-diagonal Frobenius ratio of the exponential-model C actually applied
     (as the literal product C @ H) at that point.
     """
-    start = _start(cfg, "corr_sweep")
+    _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     plan = cfg.splits[0]
     alpha = plan[0].alpha
@@ -382,7 +358,7 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     for index, (snr_db, C) in enumerate(grid):
         est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers, C)
         rows.append((snr_db, C.r, C.level, est.probability, est.std_error))
-    return _sweep_result(cfg, start, columns, rows, {"alpha": alpha},
+    return _sweep_result(cfg, columns, rows, {"alpha": alpha},
                          {"alpha": _fmt(alpha)})
 
 
@@ -391,11 +367,11 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     The report carries the allocation (P1, P2, K), broadcast feasibility,
     the Monte Carlo estimate with its standard error, both analytical bound
-    variants, and the run manifest; format_report(report) goes to
-    cfg.output_path, if set.  trials = 1 is legal but degenerate
+    variants, and the run manifest; it writes nothing, and
+    format_report(report) is its text.  trials = 1 is legal but degenerate
     (probability 0 or 1 with zero standard error) and draws a warning.
     """
-    start = _start(cfg, "single_point")
+    _start(cfg, "single_point")
     plan = cfg.splits[0]
     alloc, k, feasible = plan
     snr_db = cfg.snr_db_grid[0]
@@ -423,9 +399,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         for variant in BOUND_VARIANTS:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
                 cfg.m, k, cfg.r_tr, alloc.p2, sigma_n2, variant=variant)
-    report["manifest"] = RunManifest(_config_echo(cfg), 1,
-                                     time.perf_counter() - start, {})
-    _write(cfg, format_report(report))
+    report["manifest"] = RunManifest(_config_echo(cfg), 1, {})
     return report
 
 

@@ -90,7 +90,7 @@ class OutageConfig:
             raise ValueError("correlation matrix size must match m")
 
 
-def _sum_axis1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sum_axis1(x: np.ndarray, out: np.ndarray) -> None:
     """Sum x over axis 1 into out by adding its slices in turn.
 
     For a short axis 1, such as the antenna axis, the slice adds run on
@@ -100,7 +100,6 @@ def _sum_axis1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.copyto(out, x[:, 0])
     for j in range(1, x.shape[1]):
         out += x[:, j]
-    return out
 
 
 def _frobenius_power(rng, n, m, k, C, power, norm) -> None:

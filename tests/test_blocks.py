@@ -405,3 +405,9 @@ def test_worker_threads_keep_their_workspace_from_point_to_point(monkeypatch):
     # two threads, each with at most five buffers: acc, chunk, total,
     # power and norm
     assert counting.empties <= 10
+
+
+def test_block_fit_counts_numpy_ints_without_wrapping():
+    # 2 * 8192 * 2**25 * 2**25 is 2**64, which wraps to 0 in numpy int64
+    with pytest.raises(ValueError, match="over the limit"):
+        _blocks.require_block_fits(8192, np.int64(2**25), np.int64(2**25))

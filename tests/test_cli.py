@@ -28,6 +28,9 @@ def test_parse_range_rejects_garbage():
     for bad in ("1:2", "2:1:0.5", "a:b:c", "1:5:0"):
         with pytest.raises((argparse.ArgumentTypeError, ValueError)):
             parse_range(bad)
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="expected lo:hi:step, got '1:2'"):
+        parse_range("1:2")
 
 
 # Ranges that an endless loop would not finish are run only in a
@@ -77,6 +80,20 @@ def test_load_config_file(tmp_path):
     assert values == {"trials": "5000", "alpha": "0.3,0.4", "seed": "7"}
 
 
+def test_config_file_with_a_byte_order_mark_runs_as_the_plain_file(
+        tmp_path, capsys):
+    text = "trials = 500\nseed = 7\nalpha = 0.4\nsnr_db = 4\n"
+    reports = []
+    for name, encoding in (("plain.cfg", "utf-8"), ("bom.cfg", "utf-8-sig")):
+        (tmp_path / name).write_text(text, encoding=encoding)
+        assert load_config_file(str(tmp_path / name))["trials"] == "500"
+        assert main(["point", "--config", str(tmp_path / name)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0] == reports[1]
+    assert "# trials = 500" in reports[0]
+
+
 def test_load_config_file_rejects_bad_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("trials 5000\n")
@@ -100,7 +117,10 @@ def test_point_command_infeasible_exit_code(capsys):
     rc = main(["point", "--alpha", "0.3", "--snr-db", "6",
                "--sigma-nbr2", "2.0", "--trials", "1000"])
     assert rc == 1
-    assert "feasible = False" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "feasible = False" in captured.out
+    assert captured.err.endswith(
+        "\ninfeasible: broadcast power bound unmet\n")
 
 
 def test_point_requires_alpha_and_snr(capsys):
@@ -152,6 +172,9 @@ def test_alpha_sweep_writes_default_name_in_outdir(tmp_path, monkeypatch,
                "--trials", "1000", "--seed", "1"])
     assert rc == 0
     out_file = tmp_path / "alpha-sweep.csv"
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out_file} (1 rows)\n"
+    assert re.fullmatch(r"wall_clock_s = \d+\.\d{3}\n", captured.err)
     assert out_file.exists()
     text = out_file.read_text()
     assert text.startswith("# coopbeam")
@@ -337,6 +360,43 @@ def test_bad_output_path_exits_before_any_draw(argv, outdir, message,
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
     assert afile.read_bytes() == b"not a directory\n"
+
+
+def test_output_path_is_probed_before_the_config_and_left_as_found(
+        tmp_path, monkeypatch, capsys, no_draws):
+    # a repeated alpha refuses the run after the probe has passed the path
+    monkeypatch.chdir(tmp_path)
+
+    def refused(path):
+        assert main(["alpha-sweep", "--alpha", "0.3", "--alpha", "0.3",
+                     "--out", path]) == 2
+        err = capsys.readouterr().err
+        assert "repeats a value" in err and "output path" not in err
+
+    def rejected(path, message):
+        assert main(["alpha-sweep", "--out", path]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    rejected(str(tmp_path / "missing" / "a.csv"), "No such file or directory")
+    rejected(str(tmp_path), "Is a directory")
+    rejected(str(tmp_path / ("x" * 300 + ".csv")),
+             "cannot write output path .*x{300}")
+    for path in (str(tmp_path / "a.csv"), "a.csv"):
+        refused(path)
+    assert not any(tmp_path.iterdir())  # the check leaves no file behind
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    refused(str(link))
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+    assert not link.exists()  # still dangling
+    link.unlink()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old bytes\n")
+    refused(str(kept))
+    assert kept.read_bytes() == b"old bytes\n"
+    rejected(str(kept / "x.csv"), "Not a directory")  # parent a file
+    assert kept.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 def test_corr_sweep_with_two_alphas_exits_before_any_draw(tmp_path, capsys,

@@ -13,7 +13,8 @@ import hashlib
 import pytest
 
 from coopbeam.cli import main
-from coopbeam.harness import ExperimentConfig, run_single_point
+from coopbeam.harness import (ExperimentConfig, format_report,
+                              run_single_point)
 
 FULL_AND_PARTIAL = "8692"
 
@@ -160,10 +161,9 @@ def test_golden_point_sha256(run, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
-def test_library_point_writes_the_pinned_report(tmp_path):
-    out = tmp_path / "point.txt"
-    run_single_point(ExperimentConfig(
+def test_library_point_formats_the_pinned_report():
+    report = run_single_point(ExperimentConfig(
         experiment="single_point", alpha_grid=[0.4], snr_db_grid=[4.0],
-        trials=int(FULL_AND_PARTIAL), seed=7, output_path=str(out)))
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+        trials=int(FULL_AND_PARTIAL), seed=7))
+    assert (hashlib.sha256(format_report(report).encode()).hexdigest()
             == GOLDEN_POINT["point"][2])

@@ -155,6 +155,8 @@ def test_gamma_rejects_nonpositive_s():
         regularized_lower_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         regularized_lower_gamma(2.0, -0.5)
+    with pytest.raises(ValueError, match="x must be nonnegative, got -1"):
+        regularized_lower_gamma(1, -1)
 
 
 # scipy gives 0.4996 and 0.5001 for the two series inputs and 0.5005 for the

@@ -61,6 +61,12 @@ def test_cluster_size_zero_below_half():
     assert cluster_size(0.49999999999999994, 1.0, 1.0) == 0
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
+def test_cluster_size_rejects_alpha_outside_the_open_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        cluster_size(alpha, 60.0, 4.0)
+
+
 def test_cluster_size_rejects_an_overflowing_raw_value():
     # p_s is the subnormal 5e-324, so alpha * p_total / p_s is inf
     with pytest.raises(ValueError, match="is not finite"):
