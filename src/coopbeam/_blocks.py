@@ -116,13 +116,14 @@ def workspace(name: str, shape) -> np.ndarray:
     asks for the same name.  Each name's buffer grows on demand and is kept
     for the life of the thread.
 
-    A name is a role, not one kernel's array, so that a thread running
-    several kernels keeps one buffer per role: "channel" a block's channel
-    copy (the vector draw, a chunk of MIMO imaginary parts), "chunk" one
-    chunk of a chunked draw, and "acc" a block's accumulator (the frobenius
-    column norms, the MIMO real parts, then Gram).  Under the rule above, a
-    kernel may also take scratch from a buffer whose contents it no longer
-    needs, as the MIMO kernel does from "chunk" and "channel".
+    A name is a role, so a thread running several kernels keeps one buffer
+    per role, and a kernel takes scratch from a role whose contents it no
+    longer needs.  "acc": frobenius (n, K) column norms; vector (3, n, K)
+    weights u, theta, uc; MIMO (m, m, n) real parts, then Gram.  "chunk": a
+    draw chunk, then a C-mapped frobenius chunk's sums, a MIMO chunk's Gram
+    or LDL products; vector (3, n, m) products.  "channel": the vector draw;
+    a frobenius chunk mapped by C, or without C its sums; MIMO imaginary
+    parts, then LDL lanes.  block_gains adds its outputs "power" and "norm".
     """
     buffers = _workspace.__dict__
     size = math.prod(shape)

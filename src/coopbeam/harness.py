@@ -102,6 +102,13 @@ class ExperimentConfig:
             if len(getattr(self, f"{name}_grid")) != 1:
                 raise ValueError(
                     f"{self.experiment} needs exactly one {name}")
+        for name, default, reader in (  # settings only one experiment reads
+                ("corr_r_grid", (), "corr_sweep"),
+                ("include_baseline", True, "snr_sweep"),
+                ("bound_variant", "printed", "alpha_sweep")):
+            if self.experiment != reader and getattr(self, name) != default:
+                raise ValueError(f"{name} is read only by {reader}, not by "
+                                 f"{self.experiment}")
         object.__setattr__(self, "splits",
                            tuple(map(self._split, self.alpha_grid)))
         alloc, k, _ = self.splits[-1]  # K and tau grow with alpha

@@ -113,11 +113,11 @@ def _frobenius_power(rng, n, m, k, C, power, norm) -> None:
     col = workspace("acc", (n, k))
     for half, start, stop, z in channel_halves(rng, n, (m, k)):
         if C is not None:
-            z = np.matmul(C, z, out=workspace("mapped", z.shape))
+            z = np.matmul(C, z, out=workspace("channel", z.shape))
         np.square(z, out=z)
         if half:
-            col[start:stop] += np.einsum(
-                "nmk->nk", z, out=workspace("total", (stop - start, k)))
+            col[start:stop] += np.einsum("nmk->nk", z, out=workspace(
+                "channel" if C is None else "chunk", (stop - start, k)))
         else:
             np.einsum("nmk->nk", z, out=col[start:stop])
     parts = chunks(n, m * k)
@@ -133,23 +133,22 @@ def _frobenius_power(rng, n, m, k, C, power, norm) -> None:
 def _vector_power(rng, n, m, k, C, power, norm) -> None:
     """Vector-mode power and weight norm of n trials, into power and norm.
 
-    The phases are the last draw, so the whole channel is drawn first; every
-    array lives in the workspace.  The phasors come from one tan: with
-    t = tan(theta/2), cos(theta) = 2/(1 + t**2) - 1 and sin(theta) =
-    t * 2/(1 + t**2).  So the kernel keeps three (n, k) buffers: u; "theta",
-    which holds u**2, then the phases, then t, then u*sin(theta); and "uc",
-    which holds 1 + t**2, then 2/(1 + t**2), then u*cos(theta).
+    The phases are the last draw, so the whole channel is drawn first.  The
+    phasors come from one tan: with t = tan(theta/2), cos(theta) =
+    2/(1 + t**2) - 1 and sin(theta) = t * 2/(1 + t**2).  The planes of the
+    (3, n, k) "acc" are u; theta, which holds u**2, then the phases, then t,
+    then u*sin(theta); and uc, which holds 1 + t**2, then 2/(1 + t**2), then
+    u*cos(theta).  Those of the (3, n, m) "chunk" are yr, t and yi.
     """
     z = workspace("channel", (2, n, m, k))
     rng.standard_normal(out=z)
-    u = workspace("u", (n, k))
+    u, theta, uc = workspace("acc", (3, n, k))
     rng.random(out=u)
-    theta = workspace("theta", (n, k))
     np.einsum("nk->n", np.multiply(u, u, out=theta), out=norm)
     rng.random(out=theta)
     theta *= np.pi  # half the phase: tan(pi/2) is finite in floats
     np.tan(theta, out=theta)
-    uc = np.multiply(theta, theta, out=workspace("uc", (n, k)))
+    np.multiply(theta, theta, out=uc)
     uc += 1.0
     np.divide(2.0, uc, out=uc)
     us = np.multiply(theta, uc, out=theta)
@@ -157,12 +156,12 @@ def _vector_power(rng, n, m, k, C, power, norm) -> None:
     uc *= u
     us *= u
     zr, zi = z
-    yr = np.einsum("nmk,nk->nm", zr, uc, out=workspace("yr", (n, m)))
-    t = np.einsum("nmk,nk->nm", zi, us, out=workspace("t", (n, m)))
-    yr -= t
-    yi = np.einsum("nmk,nk->nm", zr, us, out=workspace("yi", (n, m)))
+    yr, t, yi = workspace("chunk", (3, n, m))
+    np.einsum("nmk,nk->nm", zr, uc, out=yr)
+    yr -= np.einsum("nmk,nk->nm", zi, us, out=t)
+    np.einsum("nmk,nk->nm", zr, us, out=yi)
     yi += np.einsum("nmk,nk->nm", zi, uc, out=t)
-    if C is not None:  # C (H v) == (C H) v, rotating the three (n, m) buffers
+    if C is not None:  # C (H v) == (C H) v, rotating the three (n, m) planes
         yr, t = np.matmul(yr, C.T, out=t), yr
         yi, t = np.matmul(yi, C.T, out=t), yi
     np.multiply(yr, yr, out=yr)

@@ -110,13 +110,15 @@ def test_threads_running_different_shapes_give_serial_results():
 N = 8192
 
 
-@pytest.mark.parametrize("kernel, args", [
-    (block_gains, (N, 3, 12, "frobenius")),
-    (block_gains, (N, 3, 12, "frobenius", C3)),
-    (block_gains, (N, 3, 5, "vector", C3)),
-    (block_capacities, (N, 3, 10.0)),
+# a beamforming block allocates only its result: scratch put in a buffer
+# that a live operand of the same call shares would make numpy copy it
+@pytest.mark.parametrize("kernel, args, limit", [
+    (block_gains, (N, 3, 12, "frobenius"), N * 8 + 8192),
+    (block_gains, (N, 3, 12, "frobenius", C3), N * 8 + 8192),
+    (block_gains, (N, 3, 5, "vector", C3), N * 8 + 8192),
+    (block_capacities, (N, 3, 10.0), 4 * N * 8),
 ], ids=["frobenius", "frobenius-corr", "vector-corr", "mimo3x3"])
-def test_warm_block_allocates_about_its_result(kernel, args):
+def test_warm_block_allocates_about_its_result(kernel, args, limit):
     kernel(np.random.default_rng(1), *args)
     rng = np.random.default_rng(2)
     tracemalloc.start()
@@ -127,7 +129,7 @@ def test_warm_block_allocates_about_its_result(kernel, args):
     finally:
         tracemalloc.stop()
     assert result.shape == (N,)
-    assert peak <= 4 * N * 8
+    assert peak <= limit
 
 
 @pytest.mark.parametrize("m, n", [(1, 7), (3, 8192), (4, 3616), (8, 8192),
@@ -144,11 +146,32 @@ def test_mimo_block_keeps_one_m_by_m_buffer(m, n):
     assert _in_new_thread(doubles) <= m * m * n + 2 * max(chunk, 3 * n)
 
 
+@pytest.mark.parametrize("kernel, args", [
+    (block_gains, (N, 3, 6, "frobenius")),
+    (block_gains, (N, 3, 5, "frobenius", C3)),
+    (block_gains, (7, 1, 1, "frobenius")),
+    (block_gains, (N, 3, 5, "vector")),
+    (block_gains, (33, 3, 2, "vector", C3)),
+    *[(block_capacities, (N, m, 10.0)) for m in range(1, 5)],
+], ids=["frobenius", "frobenius-corr", "frobenius-1x1", "vector",
+        "vector-corr", "mimo1x1", "mimo2x2", "mimo3x3", "mimo4x4"])
+def test_kernels_keep_their_scratch_in_the_role_buffers(kernel, args):
+    # a kernel's per-block arrays come only from the three role buffers and
+    # block_gains's two outputs, so kernels that share a thread share them
+    def names():
+        kernel(np.random.default_rng(5), *args)
+        return set(_blocks._workspace.__dict__)
+
+    assert _in_new_thread(names) <= {"acc", "chunk", "channel", "power",
+                                     "norm"}
+
+
 def test_frobenius_and_mimo_blocks_share_their_workspace():
     # an snr-sweep thread runs both kernels; the MIMO kernel keeps its real
     # parts and Gram in the frobenius accumulator, one chunk of imaginary
-    # parts in "channel" and the chunk's Gram in the draw chunk, so only the
-    # frobenius-only total, power and norm are added to what it needs
+    # parts in "channel" and the chunk's Gram in the draw chunk, and the
+    # frobenius kernel sums its imaginary chunks in "channel", so only power
+    # and norm are added to what the MIMO kernel needs
     m, k = 3, 6
 
     def doubles():
@@ -159,9 +182,25 @@ def test_frobenius_and_mimo_blocks_share_their_workspace():
 
     gram = m * m * N
     chunk = _blocks.CHUNK // (m * m) * m * m  # whole m x m trials
-    total = _blocks.CHUNK // (m * k) * k
-    limit = gram + 2 * chunk + total + 2 * N  # + power and norm
-    assert limit == 166_552
+    limit = gram + 2 * chunk + 2 * N  # + power and norm
+    assert limit == 155_632
+    assert _in_new_thread(doubles) <= limit
+
+
+def test_correlated_frobenius_block_keeps_two_chunks():
+    # the C @ z chunk goes into "channel" and the imaginary half's sums into
+    # the spent draw chunk, so beside the column norms, power and norm the
+    # kernel keeps two chunks of the draw
+    m, k = 3, 5
+
+    def doubles():
+        block_gains(np.random.default_rng(4), N, m, k, "frobenius",
+                    CorrelationMatrix(m, 0.5).entries)
+        return sum(buf.size for buf in _blocks._workspace.__dict__.values())
+
+    chunk = _blocks.CHUNK // (m * k) * m * k  # whole m x k trials
+    limit = N * k + 2 * chunk + 2 * N  # + power and norm
+    assert limit == 122_864
     assert _in_new_thread(doubles) <= limit
 
 
@@ -352,9 +391,9 @@ def test_estimators_count_through_their_module_parallel_count(monkeypatch):
 
 
 def _sweep_cfg(experiment):
+    corr = dict(corr_r_grid=[0.0, 0.5]) if experiment == "corr_sweep" else {}
     return ExperimentConfig(experiment=experiment, alpha_grid=[0.3],
-                            snr_db_grid=[6.0], corr_r_grid=[0.0, 0.5],
-                            trials=3000, seed=5)
+                            snr_db_grid=[6.0], trials=3000, seed=5, **corr)
 
 
 @pytest.mark.parametrize("workers", [-3, 0, True])
@@ -402,7 +441,7 @@ def test_worker_threads_keep_their_workspace_from_point_to_point(monkeypatch):
                            trials=4 * 8192, seed=3)
     res = run_alpha_sweep(cfg, workers=2)
     assert len(res.rows) == 6
-    # two threads, each with at most five buffers: acc, chunk, total,
+    # two threads, each with at most five buffers: acc, chunk, channel,
     # power and norm
     assert counting.empties <= 10
 

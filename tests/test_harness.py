@@ -319,15 +319,14 @@ def test_config_check_builds_the_configs_the_run_builds(monkeypatch):
 
 def test_zero_node_split_gives_nan_rows_in_every_sweep():
     # alpha * ratio_ptotal_ps = 0.3 rounds to zero nodes
-    cfg = dict(alpha_grid=[0.02, 0.3], snr_db_grid=[4.0, 9.0],
-               corr_r_grid=[0.5], trials=500)
+    cfg = dict(alpha_grid=[0.02, 0.3], snr_db_grid=[4.0, 9.0], trials=500)
     snr = run_snr_sweep(_cfg(experiment="snr_sweep", **cfg))
     rows = [r for r in snr.rows if r[1] == "alpha=0.02"]
     assert len(rows) == 2
     assert all(math.isnan(r[2]) and math.isnan(r[3]) for r in rows)
     assert snr.manifest.extra["crossover[alpha=0.02 vs mimo3x3]"] == "none"
-    corr = run_corr_sweep(_cfg(experiment="corr_sweep",
-                               **dict(cfg, alpha_grid=[0.02])))
+    corr = run_corr_sweep(_cfg(experiment="corr_sweep", **dict(
+        cfg, alpha_grid=[0.02], corr_r_grid=[0.5])))
     assert all(math.isnan(r[3]) and math.isnan(r[4]) for r in corr.rows)
     alpha = run_alpha_sweep(_cfg(experiment="alpha_sweep", **cfg))
     assert [r[2:4] for r in alpha.rows if r[1] == 0.02] == [(0, 0), (0, 0)]

@@ -126,6 +126,28 @@ def test_formerly_accepted_inputs_raise(call):
         call()
 
 
+# each setting that only one experiment's output reads, at a value other
+# than its default, against each experiment that does not read it
+UNREAD = [(name, value, experiment)
+          for name, value, reader in [
+              ("corr_r_grid", [0.5], "corr_sweep"),
+              ("include_baseline", False, "snr_sweep"),
+              ("bound_variant", "complex_convention", "alpha_sweep")]
+          for experiment in ("alpha_sweep", "snr_sweep", "corr_sweep",
+                             "single_point") if experiment != reader]
+
+
+@pytest.mark.parametrize("name, value, experiment", UNREAD,
+                         ids=[f"{name}-{exp}" for name, _, exp in UNREAD])
+def test_configs_reject_a_setting_their_experiment_never_reads(
+        name, value, experiment, no_draws):
+    # one alpha and one SNR, as single_point needs
+    with pytest.raises(ValueError, match=(
+            f"^{name} is read only by \\w+, not by {experiment}$")):
+        ExperimentConfig(experiment=experiment, alpha_grid=[0.3],
+                         snr_db_grid=[4.0], **{name: value})
+
+
 # a block's largest buffer holds 2 * min(trials, BLOCK_SIZE) * m * width
 # doubles, width k for OutageConfig and m for MimoConfig; 2 * 2 * 8192 * 8192
 # is the limit itself, as are the 16384**2 entries of a CorrelationMatrix
