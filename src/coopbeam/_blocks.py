@@ -42,6 +42,14 @@ def _is_int(value) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
+def _shown(value) -> str:
+    """repr(value), but an int of over 15 digits by its sign and bit count."""
+    if not _is_int(value) or -10**15 < value < 10**15:
+        return repr(value)
+    sign = "a negative" if value < 0 else "an"
+    return f"{sign} int of {int(value).bit_length():,} bits"
+
+
 def seed_components(seed) -> tuple[int, ...]:
     """Normalize a seed (int or sequence of ints) to a tuple of ints.
 
@@ -51,8 +59,8 @@ def seed_components(seed) -> tuple[int, ...]:
     parts = tuple(seed) if np.iterable(seed) else (seed,)
     for part in parts:
         if not _is_int(part) or part < 0:
-            raise ValueError(
-                f"seed components must be nonnegative integers, got {part!r}")
+            raise ValueError("seed components must be nonnegative "
+                             f"integers, got {_shown(part)}")
     return tuple(int(part) for part in parts)
 
 
@@ -61,7 +69,8 @@ def require_positive_int(**values) -> None:
     integer >= 1 (bool excluded, numpy integers accepted)."""
     for name, value in values.items():
         if not _is_int(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            raise ValueError(
+                f"{name} must be an integer >= 1, got {_shown(value)}")
 
 
 def require_finite(**values) -> None:
@@ -98,15 +107,21 @@ def require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def require_block_fits(trials, m, width) -> None:
-    """Raise ValueError when a block of min(trials, BLOCK_SIZE) trials of
-    m x width channels needs a buffer over MAX_BLOCK_DOUBLES doubles."""
-    trials, m, width = int(trials), int(m), int(width)  # numpy ints wrap
-    doubles = 2 * min(trials, BLOCK_SIZE) * m * width
+def require_buffer_fits(what: str, doubles: int, **sizes) -> None:
+    """Raise ValueError naming `sizes` when `what` needs a buffer of over
+    MAX_BLOCK_DOUBLES doubles (a Python int: numpy ints wrap)."""
     if doubles > MAX_BLOCK_DOUBLES:
-        raise ValueError(
-            f"{min(trials, BLOCK_SIZE)} trials of {m} x {width} channels need "
-            f"{doubles} doubles, over the limit of {MAX_BLOCK_DOUBLES}")
+        named = " and ".join(f"{k} = {_shown(v)}" for k, v in sizes.items())
+        raise ValueError(f"{what} with {named} is over the limit of "
+                         f"{MAX_BLOCK_DOUBLES} doubles")
+
+
+def require_block_fits(trials, m, width, name="k") -> None:
+    """require_buffer_fits for a block of min(trials, BLOCK_SIZE) trials of
+    m x width channels, width named `name` (so m x m names only m)."""
+    n = min(int(trials), BLOCK_SIZE)
+    require_buffer_fits(f"a block of {n} trials", 2 * n * int(m) * int(width),
+                        **{"m": m, name: width})
 
 
 def workspace(name: str, shape) -> np.ndarray:

@@ -36,8 +36,8 @@ class MimoConfig:
 
     def __post_init__(self):
         require_positive_int(m=self.m, trials=self.trials)
-        require_positive(m=self.m, p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
-        require_block_fits(self.trials, self.m, self.m)
+        require_positive(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
+        require_block_fits(self.trials, self.m, self.m, "m")
         required_snr(self.r_tr)
         if not self.scale <= MAX_MIMO_SCALE:
             raise ValueError(f"p_mimo / (m * sigma_n2) must be at most "

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blocks import MAX_BLOCK_DOUBLES, require_finite, require_positive_int
+from ._blocks import require_buffer_fits, require_finite, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         require_positive_int(m=self.m)
-        if int(self.m) ** 2 > MAX_BLOCK_DOUBLES:  # a numpy int would wrap
-            raise ValueError(f"a {self.m} x {self.m} correlation matrix is "
-                             f"over the limit of {MAX_BLOCK_DOUBLES} doubles")
+        require_buffer_fits("a correlation matrix", int(self.m) ** 2, m=self.m)
         require_finite(r=self.r)
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"r must lie in [0, 1), got {self.r}")

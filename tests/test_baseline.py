@@ -272,8 +272,12 @@ def test_mimo_config_accepts_scale_at_the_cap():
     assert MimoConfig(m=2, p_mimo=2e300).m == 2
 
 
+# the block-buffer rule rejects it, by its size in bits, before scale
+# divides by it (which would raise OverflowError)
 def test_mimo_config_rejects_antenna_count_too_large_for_a_float():
-    with pytest.raises(ValueError, match="^m must be finite"):
+    with pytest.raises(ValueError, match=(
+            "^a block of 8192 trials with m = an int of 1,329 bits is over "
+            "the limit of 268435456 doubles$")):
         MimoConfig(m=10**400)
 
 

@@ -512,6 +512,49 @@ def test_cluster_size_is_checked_before_any_draw(argv, message, tmp_path,
     assert not out.exists()
 
 
+# ints whose digits would swamp a message; K has 300 digits at a ratio of
+# 1e300
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["alpha-sweep", "--ratio-ptotal-ps", "1e300"], "k"),
+    (["alpha-sweep", "--m", _HUGE], "m"),
+    (["corr-sweep", "--m", _HUGE], "m"),
+    (["alpha-sweep", "--m", f"-{_HUGE}"], "m"),
+    (["alpha-sweep", "--seed", f"-{_HUGE}"], "seed"),
+], ids=["huge-k", "huge-m", "corr-sweep-huge-m", "negative-huge-m",
+        "negative-huge-seed"])
+def test_a_huge_int_exits_with_one_short_line_naming_the_field(
+        argv, field, tmp_path, capsys, no_draws):
+    out = tmp_path / "never.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and len(line) <= 200
+    assert re.search(rf"\b{field}\b", line)
+    assert not out.exists()
+
+
+# argparse takes "-2" or "-2.5" as a value but any other word that starts
+# with "-" as an option, so a negative range joins its flag with "=";
+# -2:16:1 is bench/corr-vec-exact.conf's grid
+def test_a_negative_range_joined_by_equals_runs_as_the_config_file(
+        tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr_db_range = -2:16:1\n")
+    run = ["corr-sweep", "--gain-mode", "vector", "--corr", "0.5",
+           "--trials", "50"]
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert main([*run, "--config", str(cfg), "--out", str(by_file)]) == 0
+    assert main([*run, "--snr-db-range=-2:16:1", "--out", str(by_flag)]) == 0
+    assert by_flag.read_bytes() == by_file.read_bytes()
+    assert "# snr_db_grid = -2,-1,0,1," in by_flag.read_text()
+    with pytest.raises(SystemExit) as info:
+        main([*run, "--snr-db-range", "-2:16:1"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # tau is about 5.1e307 and 6.2e307: finite, with the chi-square bound at 1;
 # the sweep used to exit 2 and the point to die in regularized_lower_gamma
 @pytest.mark.parametrize("argv, code, line", [

@@ -7,11 +7,14 @@ number > 0.  Nothing here draws a Monte Carlo trial.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopbeam import channel
+from coopbeam._blocks import require_positive_int, seed_components
 from coopbeam.baseline import MimoConfig
 from coopbeam.channel import CorrelationMatrix
 from coopbeam.harness import ExperimentConfig
@@ -99,7 +102,6 @@ DRIFT = {
     "split p_total='60'": lambda: split("60", 0.3),
     "MimoConfig p_mimo='60'": lambda: MimoConfig(p_mimo="60"),
     "MimoConfig sigma_n2=1e-300": lambda: MimoConfig(sigma_n2=1e-300),
-    "MimoConfig m=10**400": lambda: MimoConfig(m=10**400),
     "ExperimentConfig snr_sweep snr_db=3082": lambda: ExperimentConfig(
         experiment="snr_sweep", snr_db_grid=[3082.0]),
     "OutageConfig correlation=ndarray": lambda: OutageConfig(
@@ -157,12 +159,54 @@ def test_configs_reject_a_setting_their_experiment_never_reads(
     (lambda: MimoConfig(m=100_000, trials=10), False),
     (lambda: MimoConfig(m=8192, trials=2), True),
     (lambda: MimoConfig(m=8192, trials=3), False),
+    (lambda: MimoConfig(m=10**400), False),
     (lambda: CorrelationMatrix(16385, 0.5), False),
 ], ids=["OutageConfig k=5e6", "MimoConfig m=1e5", "MimoConfig m=8192 n=2",
-        "MimoConfig m=8192 n=3", "CorrelationMatrix m=16385"])
+        "MimoConfig m=8192 n=3", "MimoConfig m=10**400",
+        "CorrelationMatrix m=16385"])
 def test_library_configs_bound_a_blocks_largest_buffer(call, ok):
     if ok:
         call()
     else:
         with pytest.raises(ValueError, match="over the limit of 268435456"):
             call()
+
+
+def test_correlation_matrix_of_the_limit_passes_the_size_rule(monkeypatch):
+    # 16384**2 entries are the limit itself; the r check that follows the
+    # size rule stops the call before it allocates 2 GiB
+    def stop(**values):
+        raise LookupError("past the size rule")
+
+    monkeypatch.setattr(channel, "require_finite", stop)
+    with pytest.raises(LookupError):
+        CorrelationMatrix(16384, 0.5)
+    with pytest.raises(ValueError, match="m = 16385 is over the limit"):
+        CorrelationMatrix(16385, 0.5)
+
+
+# ints whose digits would swamp a message; past str()'s 4300-digit limit,
+# printing one raises Python's own "Exceeds the limit" error, naming no field
+HUGE = {
+    "OutageConfig m=10**400": ("m", lambda: OutageConfig(
+        r_tr=3.0, p2=42.0, sigma_n2=10.0, m=10**400, k=5, trials=100)),
+    "OutageConfig m=10**5000": ("m", lambda: OutageConfig(
+        r_tr=3.0, p2=42.0, sigma_n2=10.0, m=10**5000, k=5, trials=100)),
+    "CorrelationMatrix m=10**400": ("m", lambda: CorrelationMatrix(
+        10**400, 0.5)),
+    "MimoConfig m=10**400": ("m", lambda: MimoConfig(m=10**400)),
+    "require_positive_int m=-10**400": ("m", lambda: require_positive_int(
+        m=-10**400)),
+    "seed_components -10**400": ("seed", lambda: seed_components(
+        -10**400)),
+}
+
+
+@pytest.mark.parametrize("field, call", HUGE.values(), ids=HUGE.keys())
+def test_a_huge_int_is_named_by_its_size_in_one_short_line(field, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert len(message) <= 200 and "\n" not in message
+    assert re.search(rf"\b{field}\b", message)
+    assert " int of " in message and " bits" in message
