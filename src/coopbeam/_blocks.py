@@ -43,11 +43,17 @@ def _is_int(value) -> bool:
 
 
 def _shown(value) -> str:
-    """repr(value), but an int of over 15 digits by its sign and bit count."""
-    if not _is_int(value) or -10**15 < value < 10**15:
-        return repr(value)
-    sign = "a negative" if value < 0 else "an"
-    return f"{sign} int of {int(value).bit_length():,} bits"
+    """A rejected value as a message shows it: a number by str, anything else
+    by repr; but an int of over 15 digits by its sign and bit count, and a
+    text of over 60 characters by its type and length."""
+    if _is_int(value) and not -10**15 < value < 10**15:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {int(value).bit_length():,} bits"
+    number = isinstance(value, (int, float, np.number))
+    text = str(value) if number else repr(value)
+    if len(text) > 60:
+        return f"a {type(value).__name__} of {len(text):,} characters"
+    return text
 
 
 def seed_components(seed) -> tuple[int, ...]:
@@ -78,16 +84,16 @@ def require_finite(**values) -> None:
     (bools included), or is NaN, inf or an int too large for a float."""
     for name, value in values.items():
         if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, not {value!r}")
+            raise ValueError(f"{name} must be a number, not {_shown(value)}")
         try:
             finite = math.isfinite(value)
-        except OverflowError:  # its digits may exceed str()'s limit
-            finite, value = False, "an int too large for a float"
+        except OverflowError:
+            finite = False
         except TypeError:
             raise ValueError(
-                f"{name} must be a number, got {value!r}") from None
+                f"{name} must be a number, got {_shown(value)}") from None
         if not finite:
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {_shown(value)}")
 
 
 def require_bool(**values) -> None:
@@ -95,7 +101,7 @@ def require_bool(**values) -> None:
     (numpy bools accepted)."""
     for name, value in values.items():
         if not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a bool, got {value!r}")
+            raise ValueError(f"{name} must be a bool, got {_shown(value)}")
 
 
 def require_positive(**values) -> None:
@@ -104,7 +110,7 @@ def require_positive(**values) -> None:
     require_finite(**values)
     for name, value in values.items():
         if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+            raise ValueError(f"{name} must be positive, got {_shown(value)}")
 
 
 def require_buffer_fits(what: str, doubles: int, **sizes) -> None:

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blocks import require_buffer_fits, require_finite, require_positive_int
+from ._blocks import (_shown, require_buffer_fits, require_finite,
+                      require_positive_int)
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class CorrelationMatrix:
         require_buffer_fits("a correlation matrix", int(self.m) ** 2, m=self.m)
         require_finite(r=self.r)
         if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"r must lie in [0, 1), got {self.r}")
+            raise ValueError(f"r must lie in [0, 1), got {_shown(self.r)}")
         idx = np.arange(self.m)
         entries = (np.asarray(self.r, dtype=float)
                    ** np.abs(idx[:, None] - idx[None, :]))

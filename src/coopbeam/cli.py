@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from ._blocks import require_finite, require_positive_int
+from ._blocks import _shown, require_finite, require_positive_int
 from .harness import EXPERIMENTS, ExperimentConfig, format_report
 from .outage import BOUND_VARIANTS, GAIN_MODES
 
@@ -46,19 +46,19 @@ def parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
-            f"expected lo:hi:step, got {text!r}"
-        )
+            f"expected lo:hi:step, got {_shown(text)}")
     lo, hi, step = (float(p) for p in parts)
     try:
         require_finite(lo=lo, hi=hi, step=step)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"range {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(
+            f"range {_shown(text)}: {exc}") from None
     if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad range {_shown(text)}")
     span = (hi - lo) / step + 1e-9
     if not span < MAX_RANGE_VALUES:
         raise argparse.ArgumentTypeError(
-            f"range {text!r} gives more than {MAX_RANGE_VALUES} values")
+            f"range {_shown(text)} gives more than {MAX_RANGE_VALUES} values")
     return [round(lo + i * step, 10) for i in range(math.floor(span) + 1)]
 
 
@@ -79,13 +79,10 @@ def load_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             if key in values:
-                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                raise ValueError(
+                    f"{path}:{lineno}: repeated key {_shown(key)}")
             values[key] = val.strip()
     return values
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True,
@@ -97,10 +94,20 @@ def _boolean(text: str) -> bool:
         return _BOOLEANS[text.lower()]
     except KeyError:
         raise ValueError(f"expected 1, true, yes, 0, false or no, "
-                         f"got {text!r}") from None
+                         f"got {_shown(text)}") from None
 
 
-_FILE_PARSERS = {"append": _floats, "store_false": lambda s: not _boolean(s)}
+def _showing(parse):
+    """parse, but its ValueError becomes argparse's "invalid <type> value"
+    with the text shown by _shown: argparse would repeat all of it."""
+    def parse_text(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {_shown(text)}") from None
+    return parse_text
+
 
 # subcommand, the experiment it runs and its help line, in help order
 _COMMANDS = (
@@ -117,11 +124,17 @@ def _flag(parser, flag: str, group=None, **kwargs) -> None:
     The key, the flag without '--' and with '_' for '-', maps in the
     parser's config_keys default to the flag's dest (the ExperimentConfig
     field it sets, but for workers and output_path, which main takes) and
-    the parser of a file value: by the flag's action in _FILE_PARSERS, else
-    the flag's type, else str.
+    the parser of a file value: the flag's type (wrapped by _showing), of
+    each comma-separated item for a repeatable flag; _boolean, negated, for
+    a store_false flag; else str.
     """
+    if "type" in kwargs:
+        kwargs["type"] = _showing(kwargs["type"])
     action = (group or parser).add_argument(flag, **kwargs)
-    parse = _FILE_PARSERS.get(kwargs.get("action"), action.type or str)
+    item = action.type or str
+    parse = {"append": lambda text: [item(v) for v in text.split(",")],
+             "store_false": lambda text: not _boolean(text),
+             }.get(kwargs.get("action"), item)
     key = flag[2:].replace("-", "_")
     parser.get_default("config_keys")[key] = (action.dest, parse)
 
@@ -193,8 +206,8 @@ def _merge(args: argparse.Namespace) -> dict:
         source: dict = {}
         for key, raw in load_config_file(args.config).items():
             if key not in args.config_keys:
-                raise ValueError(f"{args.config}: config key {key!r} is not "
-                                 f"an option of {args.command}")
+                raise ValueError(f"{args.config}: config key {_shown(key)} "
+                                 f"is not an option of {args.command}")
             dest, parse = args.config_keys[key]
             if dest in source:
                 raise ValueError(f"{args.config}: config keys "

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ._blocks import (SUBSEED_RULE, require_bool, require_finite,
+from ._blocks import (SUBSEED_RULE, _shown, require_bool, require_finite,
                       require_positive)
 from ._version import __version__
 from .baseline import MimoConfig, mimo_outage
@@ -83,7 +83,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise ValueError(f"unknown experiment {_shown(self.experiment)}")
         require_positive(ratio_ptotal_ps=self.ratio_ptotal_ps,
                          p_total=self.p_total)
         broadcast_power_bound(1, self.r_br, self.sigma_nbr2)
@@ -93,7 +93,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         require_bool(include_baseline=self.include_baseline)
         if self.bound_variant not in BOUND_VARIANTS:
-            raise ValueError(f"unknown bound variant {self.bound_variant!r}")
+            raise ValueError(
+                f"unknown bound variant {_shown(self.bound_variant)}")
         row = EXPERIMENTS[self.experiment]
         for name in ("alpha", "snr_db", "corr_r"):
             object.__setattr__(self, f"{name}_grid",
@@ -125,15 +126,14 @@ class ExperimentConfig:
         if value is None:
             return tuple(default)
         if isinstance(value, (str, bytes)):
-            raise ValueError(f"{name} must be a list, not {value!r}")
+            raise ValueError(f"{name} must be a list, not {_shown(value)}")
         grid = tuple(value)
         require_finite(**{f"{name}[{i}]": v for i, v in enumerate(grid)})
         grid = tuple(sorted(map(float, grid)))
         if not grid:
             raise ValueError("grids must be nonempty")
-        written = [_fmt(v) for v in grid]
         if len({_fmt(v + 0.0) for v in grid}) < len(grid):  # -0 as 0
-            raise ValueError(f"grid {','.join(written)} repeats a value")
+            raise ValueError(f"grid {_fmt(grid)} repeats a value")
         return grid
 
     @property
@@ -178,8 +178,8 @@ class RunManifest:
     """What a run varies: its config echo, row count and extras.
 
     ``config`` is _config_echo's dict, which ends with master_seed and
-    subseed_rule.  ``header_lines`` renders every field, under a
-    ``# coopbeam <version>`` line.
+    subseed_rule.  Values are raw; ``header_lines`` renders each by _fmt,
+    under a ``# coopbeam <version>`` line.
     """
 
     config: dict
@@ -190,42 +190,38 @@ class RunManifest:
         items = [*self.config.items(), ("rows", self.row_count),
                  *self.extra.items()]
         return [f"# coopbeam {__version__}"] + [
-            f"# {key} = {value}" for key, value in items]
+            f"# {key} = {_fmt(value)}" for key, value in items]
 
 
 @dataclass
 class SweepResult:
     columns: tuple
     rows: list
-    summary: dict
+    summary: dict  # alpha_sweep's alpha* per SNR; {} for the other sweeps
     manifest: RunManifest
     csv_text: str
 
 
 def _fmt(value) -> str:
+    """A float to 10 significant digits, a tuple comma-joined, else str."""
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
 
 
+# the ExperimentConfig fields every manifest echoes, in order
+_ECHOED = ("experiment", "m", "ratio_ptotal_ps", "r_br", "r_tr", "p_total",
+           "sigma_nbr2", "trials", "gain_mode", "bound_variant", "alpha_grid",
+           "snr_db_grid")
+
+
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {
-        "experiment": cfg.experiment,
-        "m": cfg.m,
-        "ratio_ptotal_ps": _fmt(cfg.ratio_ptotal_ps),
-        "r_br": _fmt(cfg.r_br),
-        "r_tr": _fmt(cfg.r_tr),
-        "p_total": _fmt(cfg.p_total),
-        "sigma_nbr2": _fmt(cfg.sigma_nbr2),
-        "trials": cfg.trials,
-        "gain_mode": cfg.gain_mode,
-        "bound_variant": cfg.bound_variant,
-        "alpha_grid": ",".join(_fmt(a) for a in cfg.alpha_grid),
-        "snr_db_grid": ",".join(_fmt(s) for s in cfg.snr_db_grid),
-        "overall_snr_definition": "p_total / sigma_n2, in dB",
-    }
+    echo = {name: getattr(cfg, name) for name in _ECHOED}
+    echo["overall_snr_definition"] = "p_total / sigma_n2, in dB"
     if cfg.experiment == "corr_sweep":
-        echo["corr_r_grid"] = ",".join(_fmt(r) for r in cfg.corr_r_grid)
+        echo["corr_r_grid"] = cfg.corr_r_grid
     if cfg.experiment == "snr_sweep":
         echo["include_baseline"] = int(cfg.include_baseline)
     echo["master_seed"] = cfg.seed
@@ -244,8 +240,7 @@ def _sweep_result(cfg: ExperimentConfig, columns, rows, summary,
                   extra) -> SweepResult:
     """Manifest and CSV text of a finished sweep."""
     manifest = RunManifest(_config_echo(cfg), len(rows), extra)
-    lines = manifest.header_lines() + [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines = manifest.header_lines() + [",".join(columns), *map(_fmt, rows)]
     return SweepResult(columns, rows, summary, manifest,
                        "\n".join(lines) + "\n")
 
@@ -339,14 +334,10 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     pairs = [(b, a) for a, b in itertools.combinations(alpha_ids, 2)]
     if cfg.include_baseline:
         pairs += [(sid, mimo_id) for sid in alpha_ids]
-    extra = {}
-    for a, b in pairs:
-        xs = _crossovers(cfg.snr_db_grid, curve(a), curve(b))
-        extra[f"crossover[{a} vs {b}]"] = (
-            ",".join(_fmt(x) for x in xs) if xs else "none"
-        )
-    summary = {"series": [sid for _, sid in series], "crossovers": extra}
-    return _sweep_result(cfg, columns, rows, summary, extra)
+    extra = {f"crossover[{a} vs {b}]": tuple(
+        _crossovers(cfg.snr_db_grid, curve(a), curve(b))) or "none"
+        for a, b in pairs}
+    return _sweep_result(cfg, columns, rows, {}, extra)
 
 
 def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -359,14 +350,12 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     _start(cfg, "corr_sweep")
     columns = ("snr_db", "corr_r", "rho_level", "p_out", "std_err")
     plan = cfg.splits[0]
-    alpha = plan[0].alpha
     rows = []
     grid = itertools.product(cfg.snr_db_grid, cfg.correlations)
     for index, (snr_db, C) in enumerate(grid):
         est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers, C)
         rows.append((snr_db, C.r, C.level, est.probability, est.std_error))
-    return _sweep_result(cfg, columns, rows, {"alpha": alpha},
-                         {"alpha": _fmt(alpha)})
+    return _sweep_result(cfg, columns, rows, {}, {"alpha": plan[0].alpha})
 
 
 def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:

@@ -8,10 +8,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._blocks import (OutageEstimate, channel_halves, chunks, parallel_count,
-                      require_block_fits, require_finite, require_positive,
-                      require_positive_int, seed_components, seeded_counter,
-                      workspace)
+from ._blocks import (OutageEstimate, _shown, channel_halves, chunks,
+                      parallel_count, require_block_fits, require_finite,
+                      require_positive, require_positive_int,
+                      seed_components, seeded_counter, workspace)
 from .channel import CorrelationMatrix
 
 BOUND_VARIANTS = ("printed", "complex_convention")
@@ -38,8 +38,8 @@ def required_snr(r: float, name: str = "r_tr") -> float:
     try:
         return 2.0 ** float(r) - 1.0
     except OverflowError:
-        raise ValueError(
-            f"{name} {r} is too large: 2**{name} - 1 is not finite") from None
+        raise ValueError(f"{name} {_shown(r)} is too large: 2**{name} - 1 "
+                         "is not finite") from None
 
 
 def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
@@ -58,7 +58,8 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
         tau = snr * (sigma_n2 / p2)
     if not math.isfinite(tau):
         raise ValueError(f"threshold (2**r_tr - 1) * sigma_n2 / p2 is not "
-                         f"finite (r_tr={r_tr}, p2={p2}, sigma_n2={sigma_n2})")
+                         f"finite (r_tr={_shown(r_tr)}, p2={_shown(p2)}, "
+                         f"sigma_n2={_shown(sigma_n2)})")
     return tau
 
 
@@ -82,7 +83,7 @@ class OutageConfig:
         require_block_fits(self.trials, self.m, self.k)
         seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
-            raise ValueError(f"unknown gain mode {self.gain_mode!r}")
+            raise ValueError(f"unknown gain mode {_shown(self.gain_mode)}")
         if not isinstance(self.correlation, (CorrelationMatrix, type(None))):
             raise ValueError(f"correlation must be a CorrelationMatrix, got "
                              f"{type(self.correlation).__name__}")
@@ -246,7 +247,7 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     require_positive(s=s)
     require_finite(x=x)
     if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+        raise ValueError(f"x must be nonnegative, got {_shown(x)}")
     if x == 0.0:
         return 0.0
     itmax = _GAMMA_ITMAX + int(_GAMMA_TERMS_PER_ROOT_S * math.sqrt(s))
@@ -306,7 +307,7 @@ def analytical_outage(m: int, k: int, r_tr: float, p2: float, sigma_n2: float,
     """
     require_positive_int(m=m, k=k)
     if variant not in BOUND_VARIANTS:
-        raise ValueError(f"unknown bound variant {variant!r}")
+        raise ValueError(f"unknown bound variant {_shown(variant)}")
     tau = outage_threshold(r_tr, p2, sigma_n2)
     if variant == "printed":
         return regularized_lower_gamma(m * k / 2.0, tau / 2.0)

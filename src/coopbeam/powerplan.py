@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._blocks import require_finite, require_positive, require_positive_int
+from ._blocks import (_shown, require_finite, require_positive,
+                      require_positive_int)
 from .outage import required_snr
 
 
@@ -29,7 +30,7 @@ def split(p_total: float, alpha: float) -> PowerAllocation:
     require_positive(p_total=p_total)
     require_finite(alpha=alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1), got {_shown(alpha)}")
     p1 = alpha * p_total
     p2 = p_total - p1
     # recompute p1 as the residual so the two phases recover the budget
@@ -48,12 +49,13 @@ def cluster_size(alpha: float, p_total: float, p_s: float) -> int:
     """
     require_finite(alpha=alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1), got {_shown(alpha)}")
     require_positive(p_total=p_total, p_s=p_s)
     raw = alpha * p_total / p_s
     if not math.isfinite(raw):
-        raise ValueError(f"alpha*p_total/p_s = {raw!r} is not finite "
-                         f"(alpha={alpha}, p_total={p_total}, p_s={p_s})")
+        raise ValueError(f"alpha*p_total/p_s = {raw!r} is not finite (alpha="
+                         f"{_shown(alpha)}, p_total={_shown(p_total)}, "
+                         f"p_s={_shown(p_s)})")
     # floor(raw + 0.5) would round 0.49999999999999994 up: the sum is 1.0
     f = math.floor(raw)
     return f + (raw - f >= 0.5)

@@ -535,6 +535,62 @@ def test_a_huge_int_exits_with_one_short_line_naming_the_field(
     assert not out.exists()
 
 
+# values that argparse, int() or float() would repeat in full: 5000 digits
+# are past int()'s 4300-digit limit, and float() takes them as inf
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["alpha-sweep", "--m", _DIGITS], "--m"),
+    (["alpha-sweep", "--seed", f"-{_DIGITS}"], "--seed"),
+    (["alpha-sweep", "--alpha", "x" * 5000], "--alpha"),
+    (["alpha-sweep", "--alpha-range", f"1:{_DIGITS}"], "--alpha-range"),
+    (["snr-sweep", "--snr-db-range", f"1:{_DIGITS}:1"], "--snr-db-range"),
+], ids=["huge-m", "negative-huge-seed", "long-alpha", "two-part-range",
+        "infinite-range"])
+def test_a_huge_argument_exits_with_one_short_line_naming_the_flag(
+        argv, flag, tmp_path, capsys, monkeypatch, no_draws):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to fit
+    out = tmp_path / "never.txt"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    line, = [ln for ln in err if "error:" in ln]  # under argparse's usage
+    assert f"error: argument {flag}: " in line
+    assert max(map(len, err)) <= 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("m", _DIGITS),
+                                        ("alpha", "0.3," + "x" * 5000)],
+                         ids=["huge-m", "long-alpha"])
+def test_a_huge_config_value_exits_with_one_short_line_naming_the_key(
+        key, value, tmp_path, capsys, no_draws):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "never.txt"
+    assert main(["alpha-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {cfg}: {key}: ") and len(line) <= 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["k" * 5000 + " = 1\n",
+                                  ("k" * 5000 + " = 1\n") * 2],
+                         ids=["unknown-key", "repeated-key"])
+def test_a_long_config_key_exits_with_one_short_line(text, tmp_path, capsys,
+                                                     no_draws):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "never.txt"
+    assert main(["alpha-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {cfg}") and len(line) <= 200
+    assert "key a str of 5,002 characters" in line
+    assert not out.exists()
+
+
 # argparse takes "-2" or "-2.5" as a value but any other word that starts
 # with "-" as an option, so a negative range joins its flag with "=";
 # -2:16:1 is bench/corr-vec-exact.conf's grid

@@ -339,6 +339,30 @@ def test_snr_sweep_worker_byte_identity():
         run_snr_sweep(cfg, workers=8).csv_text
 
 
+def test_manifests_hold_raw_values_that_the_header_renders():
+    # only the alpha sweep has a summary; the other sweeps state what they
+    # found in manifest.extra, whose values header_lines alone formats
+    snr = run_snr_sweep(_cfg(experiment="snr_sweep",
+                             alpha_grid=[0.02, 0.3, 0.4],
+                             snr_db_grid=[2.0, 6.0, 10.0, 14.0], trials=500))
+    corr = run_corr_sweep(_cfg(experiment="corr_sweep", snr_db_grid=[4.0],
+                               corr_r_grid=[0.5], trials=500))
+    assert snr.summary == corr.summary == {}
+    assert snr.manifest.extra["crossover[alpha=0.3 vs alpha=0.02]"] == "none"
+    assert any(v != "none" for v in snr.manifest.extra.values())
+    for key, value in snr.manifest.extra.items():
+        if value != "none":
+            assert isinstance(value, tuple) and value
+            assert all(isinstance(x, float) for x in value)
+            value = ",".join(f"{x:.10g}" for x in value)
+        assert f"\n# {key} = {value}\n" in snr.csv_text
+    assert corr.manifest.extra == {"alpha": 0.3}
+    assert type(corr.manifest.extra["alpha"]) is float
+    assert snr.manifest.config["alpha_grid"] == (0.02, 0.3, 0.4)
+    assert "\n# alpha_grid = 0.02,0.3,0.4\n" in snr.csv_text
+    assert "\n# alpha = 0.3\n" in corr.csv_text
+
+
 # --------------------------------------------------------------- corr sweep
 
 def test_corr_sweep_rho_column_consistency():

@@ -9,17 +9,20 @@ number > 0.  Nothing here draws a Monte Carlo trial.
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopbeam import channel
-from coopbeam._blocks import require_positive_int, seed_components
+from coopbeam._blocks import (require_bool, require_finite, require_positive,
+                              require_positive_int, seed_components)
 from coopbeam.baseline import MimoConfig
 from coopbeam.channel import CorrelationMatrix
 from coopbeam.harness import ExperimentConfig
 from coopbeam.outage import (OutageConfig, analytical_outage,
-                             regularized_lower_gamma)
+                             outage_threshold, regularized_lower_gamma,
+                             required_snr)
 from coopbeam.powerplan import (broadcast_feasible, broadcast_power_bound,
                                 cluster_size, split)
 
@@ -199,6 +202,25 @@ HUGE = {
         m=-10**400)),
     "seed_components -10**400": ("seed", lambda: seed_components(
         -10**400)),
+    "split p_total=-10**300": ("p_total", lambda: split(-10**300, 0.3)),
+    "ExperimentConfig p_total=-10**300": ("p_total", lambda: ExperimentConfig(
+        experiment="alpha_sweep", p_total=-10**300)),
+    "require_bool include_baseline=10**5000": ("include_baseline",
+                                               lambda: require_bool(
+                                                   include_baseline=10**5000)),
+    "require_finite x=10**400": ("x", lambda: require_finite(x=10**400)),
+    "split alpha=10**300": ("alpha", lambda: split(60.0, 10**300)),
+    "cluster_size alpha=10**300": ("alpha", lambda: cluster_size(
+        10**300, 60.0, 4.0)),
+    "CorrelationMatrix r=10**300": ("r", lambda: CorrelationMatrix(
+        3, 10**300)),
+    "regularized_lower_gamma x=-10**300": ("x", lambda: (
+        regularized_lower_gamma(2.0, -10**300))),
+    "required_snr 10**300": ("r_tr", lambda: required_snr(10**300)),
+    "ExperimentConfig r_tr=10**300": ("r_tr", lambda: ExperimentConfig(
+        experiment="alpha_sweep", r_tr=10**300)),
+    "outage_threshold sigma_n2=10**300": ("sigma_n2", lambda: (
+        outage_threshold(3.0, 1e-300, 10**300))),
 }
 
 
@@ -210,3 +232,32 @@ def test_a_huge_int_is_named_by_its_size_in_one_short_line(field, call):
     assert len(message) <= 200 and "\n" not in message
     assert re.search(rf"\b{field}\b", message)
     assert " int of " in message and " bits" in message
+
+
+# a number shows as str shows it, so a numpy scalar reads as its value
+@pytest.mark.parametrize("call, message", [
+    (lambda: require_positive(p=np.float64(-1.0)),
+     "p must be positive, got -1.0"),
+    (lambda: require_positive_int(m=np.float64(2.5)),
+     "m must be an integer >= 1, got 2.5"),
+], ids=["positive-float64", "size-float64"])
+def test_a_numpy_number_is_shown_as_its_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# any other value shows by repr, or by its type and length past 60 characters
+@pytest.mark.parametrize("field, call", [
+    ("x", lambda: require_finite(x="9" * 5000)),
+    ("include_baseline", lambda: require_bool(include_baseline="y" * 5000)),
+    ("gain mode", lambda: OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3,
+                                       k=5, trials=100, gain_mode="v" * 5000)),
+    ("alpha_grid", lambda: ExperimentConfig(experiment="alpha_sweep",
+                                            alpha_grid="0" * 5000)),
+], ids=["require_finite", "require_bool", "gain_mode", "string-grid"])
+def test_a_long_text_is_named_by_its_type_and_length(field, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert len(message) <= 200 and "\n" not in message
+    assert field in message and "a str of 5,002 characters" in message
