@@ -20,7 +20,7 @@ class CorrelationMatrix:
     semidefinite and has a unit diagonal; r = 0 gives the identity.
     ``entries`` is read-only, and matrices with equal (m, r) compare and
     hash equal.  ``level`` is the off-diagonal to diagonal Frobenius norm
-    ratio ||C - I||_F / sqrt(m).
+    ratio ||C - I||_F / sqrt(m), from the sum over antenna distances d.
     """
 
     m: int
@@ -34,13 +34,11 @@ class CorrelationMatrix:
         require_finite(r=self.r)
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"r must lie in [0, 1), got {_shown(self.r)}")
-        idx = np.arange(self.m)
-        entries = (np.asarray(self.r, dtype=float)
-                   ** np.abs(idx[:, None] - idx[None, :]))
+        r, m = float(self.r), int(self.m)  # a numpy r still runs in double
+        entries = r ** np.abs(np.arange(m) - np.arange(m)[:, None])
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        # scale by 2**-e, exactly, so r**2 cannot underflow inside the norm
-        e = math.frexp(self.r)[1]
-        norm = np.linalg.norm(np.ldexp(entries - np.eye(self.m), -e))
-        object.__setattr__(self, "level", float(
-            np.ldexp(norm, e) / math.sqrt(self.m)))
+        # ||C - I||_F^2 counts 2 (m - d) entries r^d at each distance d >= 1;
+        # r is factored out so that r^2 cannot underflow for tiny r
+        object.__setattr__(self, "level", r * math.sqrt(2 * math.fsum(
+            (m - d) * r ** (2 * d - 2) for d in range(1, m)) / m))

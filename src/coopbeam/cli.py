@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
               help="broadcast-channel noise variance")
         _flag(p, "--trials", type=int)
         _flag(p, "--seed", type=int)
-        _flag(p, "--gain-mode", choices=GAIN_MODES)
+        _flag(p, "--gain-mode", help=" or ".join(GAIN_MODES))
         _flag(p, "--workers", type=int, help="Monte Carlo worker threads "
               "(results identical for any count)")
         p.add_argument("--config",
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         _flag(p, "--snr-db-range", group, dest="snr_db_grid",
               type=parse_range, metavar="LO:HI:STEP")
         if command == "alpha-sweep":
-            _flag(p, "--bound-variant", choices=BOUND_VARIANTS)
+            _flag(p, "--bound-variant", help=" or ".join(BOUND_VARIANTS))
         if command == "corr-sweep":
             _flag(p, "--corr", dest="corr_r_grid", type=float,
                   action="append", metavar="CORR",

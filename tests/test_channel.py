@@ -106,12 +106,41 @@ def test_level_of_tiny_r_does_not_underflow(m, r):
         closed_form_level(m, r), rel=1e-13, abs=1e-320)
 
 
-def test_level_matches_independent_norms():
-    C = CorrelationMatrix(4, 0.6)
+def scaled_norm_level(C):
+    # ||C - I||_F / sqrt(m) by a BLAS norm, with C - I scaled by 2**-e first,
+    # exactly, so that r**2 cannot underflow inside the norm
+    e = math.frexp(C.r)[1]
+    norm = np.linalg.norm(np.ldexp(C.entries - np.eye(C.m), -e))
+    return float(np.ldexp(norm, e) / math.sqrt(C.m))
+
+
+@pytest.mark.parametrize("r", [round(0.05 * i, 2) for i in range(1, 19)] + [
+    # the r of test_level_of_tiny_r_does_not_underflow
+    3.411798443255226e-159, 1e-170, 1e-300, 5e-324])
+@pytest.mark.parametrize("m", [1, 2, 3, 16])
+def test_level_matches_independent_norms(m, r):
+    C = CorrelationMatrix(m, r)
+    # the ratio of the off-diagonal to the diagonal norm, taken literally
     off = C.entries - np.diag(np.diag(C.entries))
-    expect = (np.sqrt((off ** 2).sum())
-              / np.sqrt((np.diag(C.entries) ** 2).sum()))
-    assert C.level == pytest.approx(expect, rel=1e-14)
+    literal = (np.sqrt((off ** 2).sum())
+               / np.sqrt((np.diag(C.entries) ** 2).sum()))
+    if r > 1e-150:  # below that, off ** 2 underflows
+        assert C.level == pytest.approx(literal, rel=1e-14)
+    # one subnormal step apart at most for r = 5e-324
+    assert C.level == pytest.approx(scaled_norm_level(C), rel=1e-14,
+                                    abs=5e-324)
+
+
+@pytest.mark.parametrize("r", [np.float32(0.3), np.float64(0.3), 0.3,
+                               np.float32(0.0), 0, 1e-300],
+                         ids=["float32", "float64", "float", "float32-zero",
+                              "int-zero", "tiny-float"])
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_numpy_and_int_r_build_as_their_float(m, r):
+    C, F = CorrelationMatrix(m, r), CorrelationMatrix(m, float(r))
+    assert C.entries.dtype == np.float64
+    assert C.entries.tobytes() == F.entries.tobytes()
+    assert C.level == F.level and type(C.level) is float
 
 
 @pytest.mark.properties

@@ -591,6 +591,32 @@ def test_a_long_config_key_exits_with_one_short_line(text, tmp_path, capsys,
     assert not out.exists()
 
 
+# --gain-mode and --bound-variant take any text, as their config keys do, so
+# OutageConfig and ExperimentConfig are the one check of each and show a bad
+# value through _shown; argparse's "invalid choice" line repeated all of it
+@pytest.mark.parametrize("command, key, value, error", [
+    ("snr-sweep", "gain_mode", "x" * 5000,
+     "unknown gain mode a str of 5,002 characters"),
+    ("snr-sweep", "gain_mode", "bogus", "unknown gain mode 'bogus'"),
+    ("alpha-sweep", "bound_variant", "x" * 5000,
+     "unknown bound variant a str of 5,002 characters"),
+    ("alpha-sweep", "bound_variant", "bogus", "unknown bound variant 'bogus'"),
+], ids=["long-gain-mode", "gain-mode", "long-bound-variant", "bound-variant"])
+@pytest.mark.parametrize("by", ["flag", "config-key"])
+def test_a_bad_choice_exits_with_one_short_line(by, command, key, value,
+                                                error, tmp_path, capsys,
+                                                no_draws):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    given = {"flag": ["--" + key.replace("_", "-"), value],
+             "config-key": ["--config", str(cfg)]}[by]
+    out = tmp_path / "never.txt"
+    assert main([command, *given, "--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line == f"error: {error}" and len(line) <= 200
+    assert not out.exists()
+
+
 # argparse takes "-2" or "-2.5" as a value but any other word that starts
 # with "-" as an option, so a negative range joins its flag with "=";
 # -2:16:1 is bench/corr-vec-exact.conf's grid
