@@ -113,6 +113,15 @@ def require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive, got {_shown(value)}")
 
 
+def require_nonnegative(**values) -> None:
+    """require_finite, then raise ValueError naming the first value < 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(
+                f"{name} must be nonnegative, got {_shown(value)}")
+
+
 def require_buffer_fits(what: str, doubles: int, **sizes) -> None:
     """Raise ValueError naming `sizes` when `what` needs a buffer of over
     MAX_BLOCK_DOUBLES doubles (a Python int: numpy ints wrap)."""

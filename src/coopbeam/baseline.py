@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import (OutageEstimate, channel_halves, chunks, parallel_count,
-                      require_block_fits, require_positive,
+from ._blocks import (OutageEstimate, _shown, channel_halves, chunks,
+                      parallel_count, require_block_fits, require_positive,
                       require_positive_int, seed_components, seeded_counter,
                       workspace)
 from .outage import required_snr
@@ -23,31 +23,26 @@ MAX_MIMO_SCALE = 1e300
 
 @dataclass(frozen=True)
 class MimoConfig:
-    """Open-loop MIMO link: m x m iid Rayleigh, equal per-antenna power.
-    p_mimo is the compared system's total transmit power (the budget the
-    two-phase scheme spends), split equally across the m antennas."""
+    """Open-loop MIMO link: m x m iid Rayleigh, equal per-antenna power, at
+    per-antenna SNR scale (the harness's p_total / (m * sigma_n2))."""
 
     m: int = 3
-    p_mimo: float = 60.0
-    sigma_n2: float = 1.0
+    scale: float = 20.0
     r_tr: float = 3.0
     trials: int = 100_000
     seed: object = 0
 
     def __post_init__(self):
         require_positive_int(m=self.m, trials=self.trials)
-        require_positive(p_mimo=self.p_mimo, sigma_n2=self.sigma_n2)
+        require_positive(scale=self.scale)
         require_block_fits(self.trials, self.m, self.m, "m")
         required_snr(self.r_tr)
-        if not self.scale <= MAX_MIMO_SCALE:
-            raise ValueError(f"p_mimo / (m * sigma_n2) must be at most "
-                             f"{MAX_MIMO_SCALE:g}, got {self.scale}")
+        # a numpy float32 would run in float32, and overflow comparing here
+        object.__setattr__(self, "scale", float(self.scale))
+        if self.scale > MAX_MIMO_SCALE:
+            raise ValueError(f"scale must be at most {MAX_MIMO_SCALE:g}, "
+                             f"got {_shown(self.scale)}")
         seed_components(self.seed)
-
-    @property
-    def scale(self) -> float:
-        """The per-antenna SNR that block_capacities runs with."""
-        return self.p_mimo / (self.m * self.sigma_n2)
 
 
 def _gram(hr, hi, a, t) -> None:

@@ -151,14 +151,15 @@ class ExperimentConfig:
     def _outage_config(self, p2: float, sigma_n2: float, k: int, index: int,
                        correlation=None) -> OutageConfig:
         """The OutageConfig of grid point index, seeded (seed, index)."""
-        return OutageConfig(r_tr=self.r_tr, p2=p2, sigma_n2=sigma_n2, m=self.m,
-                            k=k, trials=self.trials, seed=(self.seed, index),
-                            gain_mode=self.gain_mode, correlation=correlation)
+        return OutageConfig(tau=outage_threshold(self.r_tr, p2, sigma_n2),
+                            m=self.m, k=k, trials=self.trials,
+                            seed=(self.seed, index), gain_mode=self.gain_mode,
+                            correlation=correlation)
 
     def _mimo_config(self, snr_db: float, index: int) -> MimoConfig:
         """The MIMO baseline's MimoConfig at grid point index."""
-        return MimoConfig(m=self.m, p_mimo=self.p_total,
-                          sigma_n2=self.sigma_n2_at(snr_db), r_tr=self.r_tr,
+        scale = self.p_total / (self.m * self.sigma_n2_at(snr_db))
+        return MimoConfig(m=self.m, scale=scale, r_tr=self.r_tr,
                           trials=self.trials, seed=(self.seed, index))
 
     def sigma_n2_at(self, snr_db: float) -> float:
@@ -273,7 +274,8 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         sigma_n2 = cfg.sigma_n2_at(snr_db)
         est = _point(cfg, plan, sigma_n2, index, workers)
         analytical = math.nan if k == 0 else analytical_outage(
-            cfg.m, k, cfg.r_tr, alloc.p2, sigma_n2, variant=cfg.bound_variant)
+            cfg.m, k, outage_threshold(cfg.r_tr, alloc.p2, sigma_n2),
+            variant=cfg.bound_variant)
         rows.append((snr_db, alloc.alpha, k, int(feasible), est.probability,
                      est.std_error, analytical))
     summary = {}
@@ -394,7 +396,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         report["std_err"] = est.std_error
         for variant in BOUND_VARIANTS:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
-                cfg.m, k, cfg.r_tr, alloc.p2, sigma_n2, variant=variant)
+                cfg.m, k, report["threshold"], variant=variant)
     report["manifest"] = RunManifest(_config_echo(cfg), 1, {})
     return report
 

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from ._blocks import (OutageEstimate, _shown, channel_halves, chunks,
-                      parallel_count, require_block_fits, require_finite,
+                      parallel_count, require_block_fits, require_nonnegative,
                       require_positive, require_positive_int,
                       seed_components, seeded_counter, workspace)
 from .channel import CorrelationMatrix
@@ -32,9 +32,7 @@ def required_snr(r: float, name: str = "r_tr") -> float:
     Raises ValueError for a rate that is not finite, is negative, or is so
     large that 2^r overflows a float.
     """
-    require_finite(**{name: r})
-    if r < 0:
-        raise ValueError(f"{name} must be nonnegative")
+    require_nonnegative(**{name: r})
     try:
         return 2.0 ** float(r) - 1.0
     except OverflowError:
@@ -46,16 +44,16 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
     """Gain threshold below which the target rate is unachievable.
 
     tau = (2^r_tr - 1) * sigma_n2 / p2: outage occurs when the channel gain
-    falls strictly below tau.  It is taken left to right, or with
-    sigma_n2 / p2 first only when (2^r_tr - 1) * sigma_n2 overflows, so a
-    finite tau near the float maximum is kept.  Raises ValueError if tau is
-    not finite.
+    falls strictly below tau.  It is taken in Python floats, left to right,
+    or with sigma_n2 / p2 first only when (2^r_tr - 1) * sigma_n2 overflows,
+    so a finite tau near the float maximum is kept.  Raises ValueError if
+    tau is not finite.
     """
     snr = required_snr(r_tr)
     require_positive(p2=p2, sigma_n2=sigma_n2)
-    tau = snr * sigma_n2 / p2
+    tau = snr * float(sigma_n2) / float(p2)
     if not math.isfinite(tau):
-        tau = snr * (sigma_n2 / p2)
+        tau = snr * (float(sigma_n2) / float(p2))
     if not math.isfinite(tau):
         raise ValueError(f"threshold (2**r_tr - 1) * sigma_n2 / p2 is not "
                          f"finite (r_tr={_shown(r_tr)}, p2={_shown(p2)}, "
@@ -65,11 +63,9 @@ def outage_threshold(r_tr: float, p2: float, sigma_n2: float) -> float:
 
 @dataclass(frozen=True)
 class OutageConfig:
-    """One Monte Carlo outage estimation point."""
+    """One Monte Carlo outage estimation point: P(channel gain < tau)."""
 
-    r_tr: float
-    p2: float
-    sigma_n2: float
+    tau: float
     m: int
     k: int
     trials: int
@@ -78,7 +74,8 @@ class OutageConfig:
     correlation: Optional[CorrelationMatrix] = None
 
     def __post_init__(self):
-        outage_threshold(self.r_tr, self.p2, self.sigma_n2)
+        require_nonnegative(tau=self.tau)
+        object.__setattr__(self, "tau", float(self.tau))
         require_positive_int(m=self.m, k=self.k, trials=self.trials)
         require_block_fits(self.trials, self.m, self.k)
         seed_components(self.seed)
@@ -198,19 +195,18 @@ def block_gains(rng: np.random.Generator, n: int, m: int, k: int,
 
 
 def monte_carlo_outage(cfg: OutageConfig, workers: int = 1) -> OutageEstimate:
-    """Estimate P(channel gain < threshold) over cfg.trials random draws.
+    """Estimate P(channel gain < cfg.tau) over cfg.trials random draws.
 
     Each trial draws an iid Rayleigh channel (correlated via C @ H when a
     correlation matrix is configured) and fresh unit-power beamforming
     weights.  Outage counting is strict (<): threshold ties are non-outage.
     Deterministic for a fixed seed regardless of `workers`.
     """
-    tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
     C = None if cfg.correlation is None else cfg.correlation.entries
     count_block = seeded_counter(
         cfg.seed,
         lambda rng, n: block_gains(rng, n, cfg.m, cfg.k, cfg.gain_mode, C),
-        tau)
+        cfg.tau)
     count = parallel_count(count_block, cfg.trials, workers)
     return OutageEstimate.from_count(count, cfg.trials)
 
@@ -245,11 +241,10 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     converge within _GAMMA_ITMAX + _GAMMA_TERMS_PER_ROOT_S * sqrt(s) terms.
     """
     require_positive(s=s)
-    require_finite(x=x)
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {_shown(x)}")
+    require_nonnegative(x=x)
     if x == 0.0:
         return 0.0
+    s, x = float(s), float(x)  # a numpy float32 would run in float32
     itmax = _GAMMA_ITMAX + int(_GAMMA_TERMS_PER_ROOT_S * math.sqrt(s))
     if x < s + 1.0:
         # gamma series: P = x^s e^-x / Gamma(s) * sum_n x^n / (s (s+1)...(s+n))
@@ -295,20 +290,19 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     return 1.0 - prefactor * h
 
 
-def analytical_outage(m: int, k: int, r_tr: float, p2: float, sigma_n2: float,
+def analytical_outage(m: int, k: int, tau: float,
                       variant: str = "printed") -> float:
-    """Closed-form outage lower bound from the chi-square gain approximation.
+    """Chi-square outage lower bound at the gain threshold tau.
 
-    ``printed`` (default): P(M*K/2, tau/2) with tau = (2^r_tr - 1) * sigma_n2
-    / p2 — the published formula taken verbatim.  ``complex_convention``:
-    P(M*K, tau), the variant with 2*M*K real degrees of freedom of variance
-    1/2 each.  Both are reported by the experiment harness so they can be
-    compared against Monte Carlo.
+    ``printed`` (default): P(M*K/2, tau/2), the published formula taken
+    verbatim.  ``complex_convention``: P(M*K, tau), the variant with 2*M*K
+    real degrees of freedom of variance 1/2 each.  The experiment harness
+    reports both so they can be compared against Monte Carlo.
     """
     require_positive_int(m=m, k=k)
+    require_nonnegative(tau=tau)
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {_shown(variant)}")
-    tau = outage_threshold(r_tr, p2, sigma_n2)
     if variant == "printed":
-        return regularized_lower_gamma(m * k / 2.0, tau / 2.0)
+        return regularized_lower_gamma(m * k / 2.0, float(tau) / 2.0)
     return regularized_lower_gamma(float(m * k), tau)

@@ -82,9 +82,8 @@ def test_criterion_2_closed_form_equivalence():
     start = time.perf_counter()
     failures = []
     for tau in (0.25, 1.0, 4.0):
-        r_tr = math.log2(1.0 + tau)
-        cfg = OutageConfig(r_tr=r_tr, p2=1.0, sigma_n2=1.0, m=1, k=1,
-                           trials=1_000_000, seed=(SEED, int(tau * 100)))
+        cfg = OutageConfig(tau=tau, m=1, k=1, trials=1_000_000,
+                           seed=(SEED, int(tau * 100)))
         est = monte_carlo_outage(cfg, workers=WORKERS)
         expect = 1.0 - math.exp(-tau)
         if abs(est.probability - expect) > 3.0 * est.std_error:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def _log2_det(hr, hi, g):
 def _capacity(H, g):
     """log2 det(I + g * H H^H) in bits/s/Hz of the one channel H; the
     equal-power link of total power p over m antennas has
-    g = p / (m * sigma_n2)."""
+    g = p / (m * sigma_n2), MimoConfig.scale."""
     H = np.asarray(H)
     return float(_log2_det(H.real[..., None], H.imag[..., None], g)[0])
 
@@ -101,13 +102,13 @@ def test_block_capacities_match_complex_reference(n_rx, n_tx, scale, n):
 @pytest.mark.parametrize("m", ANTENNAS)
 def test_count_block_matches_complex_reference(m, n):
     # a full block 0 and a last block 1 of n trials, each from its own seed
-    p_mimo, seed, trials = 12.0, 31, BLOCK_SIZE + n
+    scale, seed, trials = 12.0 / m, 31, BLOCK_SIZE + n
     ref = [_reference_capacities(np.random.default_rng((seed, b)), size, m,
-                                 m, p_mimo / m)
+                                 m, scale)
            for b, size in enumerate((BLOCK_SIZE, n))]
     for r_tr in (0.25, 1.0, 3.0, 6.0, float(np.median(ref[1]))):
-        cfg = MimoConfig(m=m, p_mimo=p_mimo, sigma_n2=1.0, r_tr=r_tr,
-                         trials=trials, seed=seed)
+        cfg = MimoConfig(m=m, scale=scale, r_tr=r_tr, trials=trials,
+                         seed=seed)
         want = sum(np.count_nonzero(block < r_tr) for block in ref)
         assert mimo_outage(cfg).probability == want / trials
 
@@ -119,25 +120,24 @@ def test_mimo_outage_zero_rate():
 
 def test_mimo_outage_1x1_exponential_oracle():
     # p/sigma^2 = 1: P(log2(1+|h|^2) < 1) = P(|h|^2 < 1) = 1 - e^-1
-    cfg = MimoConfig(m=1, p_mimo=1.0, sigma_n2=1.0, r_tr=1.0,
-                     trials=1_000_000, seed=55)
+    cfg = MimoConfig(m=1, scale=1.0, r_tr=1.0, trials=1_000_000, seed=55)
     est = mimo_outage(cfg)
     expect = 1.0 - math.exp(-1.0)
     assert abs(est.probability - expect) <= 3.0 * est.std_error
 
 
 def test_mimo_outage_worker_invariance():
-    cfg = MimoConfig(trials=40_000, seed=321, sigma_n2=12.0)
+    cfg = MimoConfig(trials=40_000, seed=321, scale=60.0 / 36.0)
     assert mimo_outage(cfg, workers=1) == mimo_outage(cfg, workers=8)
 
 
 @pytest.mark.properties
 def test_mimo_outage_monotone_same_seed():
-    by_power = [mimo_outage(MimoConfig(p_mimo=p, sigma_n2=10.0,
+    by_power = [mimo_outage(MimoConfig(scale=p / 30.0,
                                        trials=20_000, seed=8)).probability
                 for p in (10.0, 20.0, 40.0, 80.0)]
     assert all(b <= a for a, b in zip(by_power, by_power[1:]))
-    by_rate = [mimo_outage(MimoConfig(r_tr=r, sigma_n2=30.0,
+    by_rate = [mimo_outage(MimoConfig(r_tr=r, scale=60.0 / 90.0,
                                       trials=20_000, seed=9)).probability
                for r in (1.0, 2.0, 4.0, 6.0)]
     assert all(b >= a for a, b in zip(by_rate, by_rate[1:]))
@@ -147,13 +147,13 @@ def test_mimo_config_validation():
     with pytest.raises(ValueError):
         MimoConfig(m=0)
     with pytest.raises(ValueError):
-        MimoConfig(p_mimo=-1.0)
+        MimoConfig(scale=-1.0)
     with pytest.raises(ValueError):
         MimoConfig(trials=0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["p_mimo", "sigma_n2", "r_tr"])
+@pytest.mark.parametrize("field", ["scale", "r_tr"])
 def test_mimo_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         MimoConfig(**{field: value})
@@ -259,21 +259,23 @@ def test_mimo_config_accepts_numpy_integer_antenna_counts():
     assert mimo_outage(cfg) == mimo_outage(MimoConfig(m=2, trials=500))
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(sigma_n2=1e-300), dict(m=1, p_mimo=1e301),
-    dict(p_mimo=1e300, sigma_n2=5e-324),
-], ids=["tiny-noise", "huge-power", "inf-scale"])
-def test_mimo_config_rejects_scale_over_the_cap(kwargs):
-    with pytest.raises(ValueError, match="must be at most 1e\\+300"):
-        MimoConfig(**kwargs)
+# scale = p / (m * sigma_n2) of a tiny noise variance and of a huge power
+@pytest.mark.parametrize("scale", [
+    60.0 / (3 * 1e-300), 1e301 / (1 * 1.0),
+    np.nextafter(MAX_MIMO_SCALE, math.inf), 10**305,
+], ids=["tiny-noise", "huge-power", "next-float", "int-10**305"])
+def test_mimo_config_rejects_scale_over_the_cap(scale):
+    shown = re.escape(str(float(scale)))
+    with pytest.raises(ValueError, match=(
+            f"^scale must be at most 1e\\+300, got {shown}$")):
+        MimoConfig(scale=scale)
 
 
 def test_mimo_config_accepts_scale_at_the_cap():
-    assert MimoConfig(m=2, p_mimo=2e300).m == 2
+    assert MimoConfig(m=2, scale=MAX_MIMO_SCALE).scale == MAX_MIMO_SCALE
 
 
-# the block-buffer rule rejects it, by its size in bits, before scale
-# divides by it (which would raise OverflowError)
+# the block-buffer rule rejects it by its size in bits
 def test_mimo_config_rejects_antenna_count_too_large_for_a_float():
     with pytest.raises(ValueError, match=(
             "^a block of 8192 trials with m = an int of 1,329 bits is over "

@@ -377,8 +377,7 @@ def test_estimators_count_through_their_module_parallel_count(monkeypatch):
 
     runs = [
         (outage, monte_carlo_outage,
-         OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                      trials=9000, seed=3)),
+         OutageConfig(tau=1.5, m=3, k=5, trials=9000, seed=3)),
         (baseline, mimo_outage, MimoConfig(trials=9000, seed=3)),
     ]
     for module, estimate, cfg in runs:
@@ -412,8 +411,7 @@ def test_runners_reject_bad_workers_before_drawing(runner, experiment,
 @pytest.mark.parametrize("workers", [-3, 0, True])
 def test_estimators_reject_bad_workers_before_drawing(workers, no_draws):
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-        monte_carlo_outage(OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0,
-                                        m=3, k=5, trials=100),
+        monte_carlo_outage(OutageConfig(tau=1.5, m=3, k=5, trials=100),
                            workers=workers)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         mimo_outage(MimoConfig(trials=100), workers=workers)

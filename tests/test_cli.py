@@ -686,8 +686,8 @@ def test_bound_variant_is_an_alpha_sweep_flag(command, tmp_path, capsys,
     assert not out.exists()
 
 
-# at 3082 dB the baseline's p_mimo / (m * sigma_n2) is about 5.3e307, over
-# MAX_MIMO_SCALE; the beamforming series alone still run
+# at 3082 dB the baseline's scale p_total / (m * sigma_n2) is about 5.3e307,
+# over MAX_MIMO_SCALE; the beamforming series alone still run
 def test_snr_sweep_past_the_mimo_scale_cap_exits_before_any_draw(
         tmp_path, capsys, no_draws):
     out = tmp_path / "never.csv"

@@ -290,7 +290,7 @@ def test_snr_sweep_no_baseline():
 
 
 # the fields that differ from one grid point to the next
-_POINT_COORDINATES = {"p2", "sigma_n2", "k", "seed", "correlation"}
+_POINT_COORDINATES = {"tau", "scale", "k", "seed", "correlation"}
 
 
 def test_config_check_builds_the_configs_the_run_builds(monkeypatch):

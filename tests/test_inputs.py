@@ -1,13 +1,15 @@
 """The shared input rules of _blocks at every entry point that takes a size
-or a positive physical value.
+or a positive or nonnegative physical value.
 
-A size (antenna, node or trial count) must be an integer >= 1, and a
-positive value (power, rate, noise variance, gamma shape) must be a finite
-number > 0.  Nothing here draws a Monte Carlo trial.
+A size (antenna, node or trial count) must be an integer >= 1, a positive
+value (power, rate, noise variance, MIMO scale, gamma shape) a finite number
+> 0, and a value that may be 0 (gain threshold, target rate, gamma argument)
+a finite number >= 0.  Nothing here draws a Monte Carlo trial.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,10 +32,11 @@ from coopbeam.powerplan import (broadcast_feasible, broadcast_power_bound,
 ENTRY_POINTS = [
     (ExperimentConfig, dict(experiment="alpha_sweep"),
      ("ratio_ptotal_ps", "r_br", "p_total", "sigma_nbr2"), ("m", "trials")),
-    (OutageConfig, dict(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                        trials=100),
-     ("p2", "sigma_n2"), ("m", "k", "trials")),
-    (MimoConfig, dict(), ("p_mimo", "sigma_n2"), ("m", "trials")),
+    (outage_threshold, dict(r_tr=3.0, p2=42.0, sigma_n2=10.0),
+     ("p2", "sigma_n2"), ()),
+    (OutageConfig, dict(tau=1.5, m=3, k=5, trials=100), (),
+     ("m", "k", "trials")),
+    (MimoConfig, dict(), ("scale",), ("m", "trials")),
     (split, dict(p_total=60.0, alpha=0.3), ("p_total",), ()),
     (cluster_size, dict(alpha=0.3, p_total=60.0, p_s=4.0),
      ("p_total", "p_s"), ()),
@@ -41,8 +44,7 @@ ENTRY_POINTS = [
      ("r_br", "sigma_nbr2"), ("k",)),
     (broadcast_feasible, dict(p1=30.0, k=5, r_br=2.0, sigma_nbr2=1.0),
      ("p1", "r_br", "sigma_nbr2"), ("k",)),
-    (analytical_outage, dict(m=3, k=5, r_tr=3.0, p2=42.0, sigma_n2=10.0),
-     ("p2", "sigma_n2"), ("m", "k")),
+    (analytical_outage, dict(m=3, k=5, tau=1.5), (), ("m", "k")),
     (CorrelationMatrix, dict(m=3, r=0.3), (), ("m",)),
     (regularized_lower_gamma, dict(s=2.0, x=1.0), ("s",), ()),
 ]
@@ -71,11 +73,35 @@ def test_bad_sizes_and_positive_values_raise(data):
         fn(**{**valid, field: bad})
 
 
+# (entry point, valid keyword arguments, fields that take 0 but no less)
+NONNEGATIVE_ENTRY_POINTS = [
+    (outage_threshold, dict(r_tr=3.0, p2=42.0, sigma_n2=10.0), ("r_tr",)),
+    (OutageConfig, dict(tau=1.5, m=3, k=5, trials=100), ("tau",)),
+    (analytical_outage, dict(m=3, k=5, tau=1.5), ("tau",)),
+    (regularized_lower_gamma, dict(s=2.0, x=1.0), ("x",)),
+]
+
+NEGATIVE = st.one_of(st.floats(max_value=-5e-324),
+                     st.sampled_from([math.nan, math.inf, -math.inf]),
+                     st.integers(-10**9, -1), st.booleans(), st.none(),
+                     st.text(max_size=3))
+
+
+@pytest.mark.properties
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_zero_is_taken_and_negative_values_raise(data):
+    fn, valid, fields = data.draw(st.sampled_from(NONNEGATIVE_ENTRY_POINTS))
+    field = data.draw(st.sampled_from(fields), label="field")
+    fn(**{**valid, field: 0.0})
+    bad = data.draw(NEGATIVE, label="value")
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        fn(**{**valid, field: bad})
+
+
 DRIFT = {
-    "analytical_outage m=True": lambda: analytical_outage(
-        True, 5, 3.0, 42.0, 10.0),
-    "analytical_outage m=2.5": lambda: analytical_outage(
-        2.5, 3, 3.0, 42.0, 10.0),
+    "analytical_outage m=True": lambda: analytical_outage(True, 5, 1.5),
+    "analytical_outage m=2.5": lambda: analytical_outage(2.5, 3, 1.5),
     "exponential_correlation m=2.5": lambda: CorrelationMatrix(2.5, 0.3),
     "exponential_correlation m=True": lambda: CorrelationMatrix(
         True, 0.3),
@@ -103,17 +129,16 @@ DRIFT = {
     "ExperimentConfig p_total=None": lambda: ExperimentConfig(
         experiment="alpha_sweep", p_total=None),
     "split p_total='60'": lambda: split("60", 0.3),
-    "MimoConfig p_mimo='60'": lambda: MimoConfig(p_mimo="60"),
-    "MimoConfig sigma_n2=1e-300": lambda: MimoConfig(sigma_n2=1e-300),
+    "MimoConfig scale='20'": lambda: MimoConfig(scale="20"),
+    "MimoConfig scale=2e301": lambda: MimoConfig(scale=2e301),
     "ExperimentConfig snr_sweep snr_db=3082": lambda: ExperimentConfig(
         experiment="snr_sweep", snr_db_grid=[3082.0]),
     "OutageConfig correlation=ndarray": lambda: OutageConfig(
-        r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5, trials=100,
+        tau=1.5, m=3, k=5, trials=100,
         correlation=CorrelationMatrix(3, 0.5).entries),
-    "OutageConfig r_tr=True": lambda: OutageConfig(
-        r_tr=True, p2=True, sigma_n2=True, m=3, k=5, trials=10),
-    "OutageConfig p2=10**400": lambda: OutageConfig(
-        r_tr=3.0, p2=10**400, sigma_n2=10.0, m=3, k=5, trials=100),
+    "outage_threshold r_tr=True": lambda: outage_threshold(True, True, True),
+    "outage_threshold p2=10**400": lambda: outage_threshold(
+        3.0, 10**400, 10.0),
     "cluster_size p_total=inf": lambda: cluster_size(0.3, math.inf, 4.0),
     "split alpha='0.3'": lambda: split(60.0, "0.3"),
     "split alpha=None": lambda: split(60.0, None),
@@ -123,6 +148,33 @@ DRIFT = {
     "gamma x=nan": lambda: regularized_lower_gamma(2.0, math.nan),
     "gamma s=inf": lambda: regularized_lower_gamma(math.inf, 1.0),
 }
+
+
+# numpy float32 arguments, called as f(*values): each result, or each value
+# a config holds, is the float64 one as a Python float, with no warning
+FLOAT32 = {
+    "gamma-series": (regularized_lower_gamma, (3.0, 2.0)),
+    "gamma-fraction": (regularized_lower_gamma, (3.0, 30.0)),
+    "gamma-stirling-fraction": (regularized_lower_gamma, (50.0, 60.0)),
+    "outage_threshold": (lambda p2, sigma_n2: outage_threshold(
+        3.0, p2, sigma_n2), (42.0, 10.0)),
+    "OutageConfig": (lambda tau: OutageConfig(
+        tau=tau, m=3, k=5, trials=100).tau, (1.7,)),
+    "MimoConfig": (lambda scale: MimoConfig(scale=scale).scale, (60 / 7,)),
+    "analytical_outage": (lambda tau: analytical_outage(3, 5, tau), (1.7,)),
+    "analytical_outage-complex": (lambda tau: analytical_outage(
+        3, 5, tau, variant="complex_convention"), (1.7,)),
+}
+
+
+@pytest.mark.parametrize("fn, values", FLOAT32.values(), ids=FLOAT32.keys())
+def test_float32_arguments_give_the_float64_value(fn, values):
+    single = [np.float32(v) for v in values]
+    want = fn(*map(float, single))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(*single)
+    assert type(got) is float and got == want
 
 
 @pytest.mark.parametrize("call", DRIFT.values(), ids=DRIFT.keys())
@@ -157,8 +209,7 @@ def test_configs_reject_a_setting_their_experiment_never_reads(
 # doubles, width k for OutageConfig and m for MimoConfig; 2 * 2 * 8192 * 8192
 # is the limit itself, as are the 16384**2 entries of a CorrelationMatrix
 @pytest.mark.parametrize("call, ok", [
-    (lambda: OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3,
-                          k=5_000_000, trials=8192), False),
+    (lambda: OutageConfig(tau=1.5, m=3, k=5_000_000, trials=8192), False),
     (lambda: MimoConfig(m=100_000, trials=10), False),
     (lambda: MimoConfig(m=8192, trials=2), True),
     (lambda: MimoConfig(m=8192, trials=3), False),
@@ -192,9 +243,11 @@ def test_correlation_matrix_of_the_limit_passes_the_size_rule(monkeypatch):
 # printing one raises Python's own "Exceeds the limit" error, naming no field
 HUGE = {
     "OutageConfig m=10**400": ("m", lambda: OutageConfig(
-        r_tr=3.0, p2=42.0, sigma_n2=10.0, m=10**400, k=5, trials=100)),
+        tau=1.5, m=10**400, k=5, trials=100)),
     "OutageConfig m=10**5000": ("m", lambda: OutageConfig(
-        r_tr=3.0, p2=42.0, sigma_n2=10.0, m=10**5000, k=5, trials=100)),
+        tau=1.5, m=10**5000, k=5, trials=100)),
+    "OutageConfig tau=-10**300": ("tau", lambda: OutageConfig(
+        tau=-10**300, m=3, k=5, trials=100)),
     "CorrelationMatrix m=10**400": ("m", lambda: CorrelationMatrix(
         10**400, 0.5)),
     "MimoConfig m=10**400": ("m", lambda: MimoConfig(m=10**400)),
@@ -250,8 +303,8 @@ def test_a_numpy_number_is_shown_as_its_value(call, message):
 @pytest.mark.parametrize("field, call", [
     ("x", lambda: require_finite(x="9" * 5000)),
     ("include_baseline", lambda: require_bool(include_baseline="y" * 5000)),
-    ("gain mode", lambda: OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3,
-                                       k=5, trials=100, gain_mode="v" * 5000)),
+    ("gain mode", lambda: OutageConfig(tau=1.5, m=3, k=5, trials=100,
+                                       gain_mode="v" * 5000)),
     ("alpha_grid", lambda: ExperimentConfig(experiment="alpha_sweep",
                                             alpha_grid="0" * 5000)),
 ], ids=["require_finite", "require_bool", "gain_mode", "string-grid"])

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopbeam import outage
+from coopbeam.baseline import MimoConfig, mimo_outage
 from coopbeam.channel import CorrelationMatrix
 from coopbeam.outage import (
     OutageConfig,
@@ -19,6 +22,9 @@ from coopbeam.outage import (
     outage_threshold,
     regularized_lower_gamma,
 )
+
+# the gain threshold at R_tr = 3, P2 = 42 and sigma_n^2 = 10
+TAU = outage_threshold(3.0, 42.0, 10.0)
 
 
 # ---------------------------------------------------------------- threshold
@@ -41,7 +47,8 @@ def test_threshold_algebra(r, p2, s):
 def test_threshold_rejects_bad_inputs():
     with pytest.raises(ValueError):
         outage_threshold(3.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^r_tr must be nonnegative, got -1.0$"):
         outage_threshold(-1.0, 1.0, 1.0)
 
 
@@ -71,9 +78,8 @@ def test_threshold_rejects_an_overflowing_tau(r_tr, p2, sigma_n2):
 
 def test_outage_config_rejects_an_overflowing_tau(no_draws):
     # used to run and report p = 1 with tau = inf
-    with pytest.raises(ValueError, match="threshold .* is not finite"):
-        monte_carlo_outage(OutageConfig(r_tr=1020.0, p2=1e-300, sigma_n2=1.0,
-                                        m=3, k=5, trials=10))
+    with pytest.raises(ValueError, match="tau must be finite"):
+        monte_carlo_outage(OutageConfig(tau=math.inf, m=3, k=5, trials=10))
 
 
 def test_threshold_accepts_largest_finite_rates():
@@ -195,39 +201,37 @@ def test_gamma_large_s_matches_scipy(s, x):
 
 def test_analytical_s1_closed_form():
     # M*K/2 = 1 makes the printed bound an exponential CDF in tau/2
-    assert analytical_outage(1, 2, 3.0, 7.0, 1.0) == pytest.approx(
+    assert analytical_outage(1, 2, 1.0) == pytest.approx(
         1.0 - math.exp(-0.5), abs=1e-12)
 
 
 def test_analytical_zero_rate():
     for m, k in ((1, 1), (3, 5), (4, 2)):
-        assert analytical_outage(m, k, 0.0, 10.0, 1.0) == 0.0
+        assert analytical_outage(m, k, 0.0) == 0.0
 
 
 def test_analytical_variants_differ():
-    printed = analytical_outage(3, 5, 3.0, 42.0, 10.0)
-    complex_conv = analytical_outage(3, 5, 3.0, 42.0, 10.0,
-                                     variant="complex_convention")
-    tau = outage_threshold(3.0, 42.0, 10.0)
+    printed = analytical_outage(3, 5, TAU)
+    complex_conv = analytical_outage(3, 5, TAU, variant="complex_convention")
     assert printed == pytest.approx(
-        regularized_lower_gamma(7.5, tau / 2.0), rel=1e-12)
+        regularized_lower_gamma(7.5, TAU / 2.0), rel=1e-12)
     assert complex_conv == pytest.approx(
-        regularized_lower_gamma(15.0, tau), rel=1e-12)
+        regularized_lower_gamma(15.0, TAU), rel=1e-12)
     assert printed != pytest.approx(complex_conv)
 
 
 def test_analytical_rejects_bad_variant():
     with pytest.raises(ValueError):
-        analytical_outage(3, 5, 3.0, 42.0, 10.0, variant="exact")
+        analytical_outage(3, 5, TAU, variant="exact")
 
 
 @pytest.mark.properties
 def test_analytical_monotonicity():
     # increasing in rate, decreasing in power
-    vals_r = [analytical_outage(3, 5, r, 30.0, 1.0)
+    vals_r = [analytical_outage(3, 5, outage_threshold(r, 30.0, 1.0))
               for r in (0.5, 1.0, 2.0, 3.0, 4.0)]
     assert all(b > a for a, b in zip(vals_r, vals_r[1:]))
-    vals_p = [analytical_outage(3, 5, 3.0, p, 1.0)
+    vals_p = [analytical_outage(3, 5, outage_threshold(3.0, p, 1.0))
               for p in (5.0, 10.0, 20.0, 40.0, 80.0)]
     assert all(b < a for a, b in zip(vals_p, vals_p[1:]))
     # below the mean, more degrees of freedom push mass above the threshold
@@ -239,24 +243,20 @@ def test_analytical_monotonicity():
 # --------------------------------------------------------------- Monte Carlo
 
 def test_mc_zero_rate_exactly_zero():
-    cfg = OutageConfig(r_tr=0.0, p2=5.0, sigma_n2=1.0, m=2, k=3,
-                       trials=5000, seed=1)
+    cfg = OutageConfig(tau=0.0, m=2, k=3, trials=5000, seed=1)
     assert monte_carlo_outage(cfg).probability == 0.0
 
 
 def test_mc_exponential_closed_form_oracle():
     # m = k = 1, tau = 1: gain is Exp(1), so P_out = 1 - e^-1
-    cfg = OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=1, k=1,
-                       trials=1_000_000, seed=71)
+    cfg = OutageConfig(tau=1.0, m=1, k=1, trials=1_000_000, seed=71)
     est = monte_carlo_outage(cfg)
     expect = 1.0 - math.exp(-1.0)
-    assert outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2) == 1.0
     assert abs(est.probability - expect) <= 3.0 * est.std_error
 
 
 def test_mc_std_error_formula():
-    cfg = OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=1, k=1,
-                       trials=20_000, seed=5)
+    cfg = OutageConfig(tau=1.0, m=1, k=1, trials=20_000, seed=5)
     est = monte_carlo_outage(cfg)
     p = est.probability
     assert est.std_error == pytest.approx(
@@ -264,36 +264,30 @@ def test_mc_std_error_formula():
 
 
 def test_mc_worker_count_invariance():
-    cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                       trials=50_000, seed=1234)
+    cfg = OutageConfig(tau=TAU, m=3, k=5, trials=50_000, seed=1234)
     single = monte_carlo_outage(cfg, workers=1)
     eight = monte_carlo_outage(cfg, workers=8)
     assert single == eight
 
 
 def test_mc_seed_reproducibility_and_sensitivity():
-    cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                       trials=30_000, seed=9)
+    cfg = OutageConfig(tau=TAU, m=3, k=5, trials=30_000, seed=9)
     a = monte_carlo_outage(cfg)
     b = monte_carlo_outage(cfg)
     assert a == b
-    diff = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                        trials=30_000, seed=10)
+    diff = OutageConfig(tau=TAU, m=3, k=5, trials=30_000, seed=10)
     assert monte_carlo_outage(diff).probability != a.probability
 
 
 def test_mc_accepts_composite_seed():
-    cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                       trials=10_000, seed=(1234, 7))
+    cfg = OutageConfig(tau=TAU, m=3, k=5, trials=10_000, seed=(1234, 7))
     est = monte_carlo_outage(cfg)
     assert 0.0 <= est.probability <= 1.0
 
 
 def test_mc_correlation_changes_estimate():
-    base = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=15.0, m=3, k=5,
-                        trials=40_000, seed=3)
-    corr = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=15.0, m=3, k=5,
-                        trials=40_000, seed=3,
+    base = OutageConfig(tau=2.5, m=3, k=5, trials=40_000, seed=3)
+    corr = OutageConfig(tau=2.5, m=3, k=5, trials=40_000, seed=3,
                         correlation=CorrelationMatrix(3, 0.7))
     p0 = monte_carlo_outage(base).probability
     p1 = monte_carlo_outage(corr).probability
@@ -301,8 +295,8 @@ def test_mc_correlation_changes_estimate():
 
 
 def test_mc_vector_mode_runs():
-    cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                       trials=30_000, seed=11, gain_mode="vector")
+    cfg = OutageConfig(tau=TAU, m=3, k=5, trials=30_000, seed=11,
+                       gain_mode="vector")
     est = monte_carlo_outage(cfg)
     assert 0.0 < est.probability < 1.0
 
@@ -313,7 +307,7 @@ def test_mc_monotone_in_power_same_seed():
     # monotone, not just statistically
     probs = []
     for p2 in (5.0, 10.0, 20.0, 40.0):
-        cfg = OutageConfig(r_tr=3.0, p2=p2, sigma_n2=10.0, m=3, k=5,
+        cfg = OutageConfig(tau=outage_threshold(3.0, p2, 10.0), m=3, k=5,
                            trials=20_000, seed=77)
         probs.append(monte_carlo_outage(cfg).probability)
     assert all(b <= a for a, b in zip(probs, probs[1:]))
@@ -323,7 +317,7 @@ def test_mc_monotone_in_power_same_seed():
 def test_mc_monotone_in_rate_same_seed():
     probs = []
     for r_tr in (0.5, 1.0, 2.0, 3.0, 4.0):
-        cfg = OutageConfig(r_tr=r_tr, p2=20.0, sigma_n2=10.0, m=3, k=5,
+        cfg = OutageConfig(tau=outage_threshold(r_tr, 20.0, 10.0), m=3, k=5,
                            trials=20_000, seed=78)
         probs.append(monte_carlo_outage(cfg).probability)
     assert all(b >= a for a, b in zip(probs, probs[1:]))
@@ -334,8 +328,7 @@ def test_mc_std_error_contract_over_replications():
     # independent replications stay within 3 sigma of their mean >= 99/100
     reps = []
     for i in range(100):
-        cfg = OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=1, k=1,
-                           trials=2000, seed=(400, i))
+        cfg = OutageConfig(tau=1.0, m=1, k=1, trials=2000, seed=(400, i))
         reps.append(monte_carlo_outage(cfg))
     mean = sum(r.probability for r in reps) / len(reps)
     inside = sum(abs(r.probability - mean) <= 3.0 * r.std_error
@@ -343,20 +336,21 @@ def test_mc_std_error_contract_over_replications():
     assert inside >= 99
 
 
-_MC_KW = dict(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5, trials=100)
+_MC_KW = dict(tau=TAU, m=3, k=5, trials=100)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["r_tr", "p2", "sigma_n2"])
-def test_mc_config_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        OutageConfig(**{**_MC_KW, field: value})
+def test_mc_config_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        OutageConfig(**{**_MC_KW, "tau": value})
 
 
-@pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])
-def test_mc_config_rejects_overflowing_rate(r_tr):
-    with pytest.raises(ValueError, match="r_tr .* too large"):
-        OutageConfig(**{**_MC_KW, "r_tr": r_tr})
+@pytest.mark.parametrize("tau", [-1.0, -5e-324, np.float64(-2.0), -1])
+def test_mc_config_rejects_a_negative_tau(tau):
+    with pytest.raises(ValueError,
+                       match=f"^tau must be nonnegative, got {tau}$"):
+        OutageConfig(**{**_MC_KW, "tau": tau})
+
 
 
 @pytest.mark.parametrize("trials", [1000.5, 1000.0, True, "1000"])
@@ -379,17 +373,33 @@ def test_mc_config_accepts_numpy_integers():
 
 def test_mc_config_validation():
     with pytest.raises(ValueError):
-        OutageConfig(r_tr=-1.0, p2=1.0, sigma_n2=1.0, m=1, k=1, trials=10)
+        OutageConfig(tau=-1.0, m=1, k=1, trials=10)
     with pytest.raises(ValueError):
-        OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=0, k=1, trials=10)
+        OutageConfig(tau=1.0, m=0, k=1, trials=10)
     with pytest.raises(ValueError):
-        OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=1, k=1, trials=0)
+        OutageConfig(tau=1.0, m=1, k=1, trials=0)
     with pytest.raises(ValueError):
-        OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=1, k=1, trials=10,
-                     gain_mode="matrix")
+        OutageConfig(tau=1.0, m=1, k=1, trials=10, gain_mode="matrix")
     with pytest.raises(ValueError):
-        OutageConfig(r_tr=1.0, p2=1.0, sigma_n2=1.0, m=2, k=1, trials=10,
+        OutageConfig(tau=1.0, m=2, k=1, trials=10,
                      correlation=CorrelationMatrix(3, 0.5))
+
+
+def test_estimators_take_the_threshold_they_compare_against(monkeypatch):
+    def derive(*args):
+        raise AssertionError("an estimator derived its threshold")
+
+    monkeypatch.setattr(outage, "outage_threshold", derive)
+    cfg = OutageConfig(tau=0.0, m=3, k=5, trials=100)
+    assert monte_carlo_outage(cfg).probability == 0.0
+    assert analytical_outage(3, 5, 0.0) == 0.0
+    assert mimo_outage(MimoConfig(r_tr=0.0, trials=100)).probability == 0.0
+    assert [f.name for f in dataclasses.fields(OutageConfig)] == [
+        "tau", "m", "k", "trials", "seed", "gain_mode", "correlation"]
+    assert [f.name for f in dataclasses.fields(MimoConfig)] == [
+        "m", "scale", "r_tr", "trials", "seed"]
+    assert list(inspect.signature(analytical_outage).parameters) == [
+        "m", "k", "tau", "variant"]
 
 
 # ------------------------------------------------------- block gain kernel
@@ -458,15 +468,14 @@ def test_block_gains_phase_draw_only_in_vector_mode(gain_mode):
 
 @pytest.mark.parametrize("gain_mode", ["frobenius", "vector"])
 def test_count_block_is_gains_below_threshold(gain_mode):
-    cfg = OutageConfig(r_tr=3.0, p2=42.0, sigma_n2=10.0, m=3, k=5,
-                       trials=9000, seed=(4, 2), gain_mode=gain_mode,
+    cfg = OutageConfig(tau=TAU, m=3, k=5, trials=9000, seed=(4, 2),
+                       gain_mode=gain_mode,
                        correlation=CorrelationMatrix(3, 0.5))
-    tau = outage_threshold(cfg.r_tr, cfg.p2, cfg.sigma_n2)
     want = 0
     for b, n in ((0, 8192), (1, 808)):
         gains = _reference_gains(np.random.default_rng([4, 2, b]), n, 3, 5,
                                  gain_mode, cfg.correlation.entries)
-        want += np.count_nonzero(gains < tau)
+        want += np.count_nonzero(gains < TAU)
     assert monte_carlo_outage(cfg).probability == want / cfg.trials
 
 
