@@ -153,8 +153,18 @@ def test_mimo_config_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["scale", "r_tr"])
+@pytest.mark.parametrize("field", ["p_mimo", "sigma_n2", "scale", "r_tr"])
 def test_mimo_config_rejects_non_finite(field, value):
+    if field in ("p_mimo", "sigma_n2"):
+        # a link's power and noise variance reach MimoConfig only through
+        # its scale p_mimo / (m * sigma_n2); an infinite noise makes it 0
+        link = {"p_mimo": 60.0, "sigma_n2": 1.0, field: value}
+        scale = link["p_mimo"] / (3 * link["sigma_n2"])
+        rule = "positive" if scale == 0 else "finite"
+        with pytest.raises(ValueError, match=(
+                f"^scale must be {rule}, got {re.escape(str(scale))}$")):
+            MimoConfig(scale=scale)
+        return
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         MimoConfig(**{field: value})
 
@@ -259,15 +269,19 @@ def test_mimo_config_accepts_numpy_integer_antenna_counts():
     assert mimo_outage(cfg) == mimo_outage(MimoConfig(m=2, trials=500))
 
 
-# scale = p / (m * sigma_n2) of a tiny noise variance and of a huge power
+# scale = p / (m * sigma_n2) of a tiny noise variance, of a huge power and
+# of a huge power over a subnormal noise variance, which overflows to inf
 @pytest.mark.parametrize("scale", [
     60.0 / (3 * 1e-300), 1e301 / (1 * 1.0),
-    np.nextafter(MAX_MIMO_SCALE, math.inf), 10**305,
-], ids=["tiny-noise", "huge-power", "next-float", "int-10**305"])
+    np.nextafter(MAX_MIMO_SCALE, math.inf), 10**305, 1e300 / (3 * 5e-324),
+], ids=["tiny-noise", "huge-power", "next-float", "int-10**305",
+        "inf-scale"])
 def test_mimo_config_rejects_scale_over_the_cap(scale):
     shown = re.escape(str(float(scale)))
+    # an infinite scale fails the finite rule, which comes before the cap
+    rule = "finite" if math.isinf(scale) else "at most 1e\\+300"
     with pytest.raises(ValueError, match=(
-            f"^scale must be at most 1e\\+300, got {shown}$")):
+            f"^scale must be {rule}, got {shown}$")):
         MimoConfig(scale=scale)
 
 

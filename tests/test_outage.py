@@ -339,10 +339,26 @@ def test_mc_std_error_contract_over_replications():
 _MC_KW = dict(tau=TAU, m=3, k=5, trials=100)
 
 
+def _link_kw(r_tr=3.0, p2=42.0, sigma_n2=10.0):
+    """_MC_KW with the threshold of the link (r_tr, p2, sigma_n2), the
+    way ExperimentConfig._outage_config builds an OutageConfig."""
+    return {**_MC_KW, "tau": outage_threshold(r_tr, p2, sigma_n2)}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_mc_config_rejects_non_finite(value):
-    with pytest.raises(ValueError, match="tau must be finite"):
-        OutageConfig(**{**_MC_KW, "tau": value})
+@pytest.mark.parametrize("field", ["r_tr", "p2", "sigma_n2", "tau"])
+def test_mc_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        if field == "tau":
+            OutageConfig(**{**_MC_KW, "tau": value})
+        else:
+            OutageConfig(**_link_kw(**{field: value}))
+
+
+@pytest.mark.parametrize("r_tr", [1024.0, 1100.0, 1e6, np.float64(1100.0)])
+def test_mc_config_rejects_overflowing_rate(r_tr):
+    with pytest.raises(ValueError, match="r_tr .* too large"):
+        OutageConfig(**_link_kw(r_tr=r_tr))
 
 
 @pytest.mark.parametrize("tau", [-1.0, -5e-324, np.float64(-2.0), -1])
