@@ -166,14 +166,13 @@ def workspace(name: str, shape) -> np.ndarray:
 @dataclass(frozen=True)
 class OutageEstimate:
     probability: float
-    trials: int
     std_error: float
 
     @classmethod
     def from_count(cls, count: int, trials: int):
         """p = count / trials with its binomial standard error."""
         p = count / trials
-        return cls(p, trials, math.sqrt(p * (1.0 - p) / trials))
+        return cls(p, math.sqrt(p * (1.0 - p) / trials))
 
 
 def chunks(n: int, row_size: int):

@@ -17,6 +17,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -65,23 +66,30 @@ def parse_range(text: str) -> list[float]:
 def load_config_file(path: str) -> dict:
     """Read a key=value config file; '#' starts a comment.
 
-    Raises ValueError, naming the file and line, for a line without '=' and
-    for a key given twice.
+    Raises ValueError, naming the file and line, for a line without '=', for
+    a key given twice and for bytes that are not UTF-8.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # one decode of the whole file: the error's offset is in the file
+        text = data.decode("utf-8-sig")  # a leading BOM is no key
+    except UnicodeDecodeError as exc:  # the line of the first bad byte
+        before = exc.object[:exc.start].decode() + "?"
+        lineno = len(io.StringIO(before, newline=None).readlines())
+        raise ValueError(
+            f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no key
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ValueError(
-                    f"{path}:{lineno}: repeated key {_shown(key)}")
-            values[key] = val.strip()
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated key {_shown(key)}")
+        values[key] = val.strip()
     return values
 
 

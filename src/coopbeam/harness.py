@@ -247,14 +247,14 @@ def _sweep_result(cfg: ExperimentConfig, columns, rows, summary,
 
 
 def _point(cfg: ExperimentConfig, plan: tuple, sigma_n2: float, index: int,
-           workers: int, correlation=None) -> OutageEstimate:
-    """Monte Carlo outage estimate of grid point index at one of cfg.splits;
-    a zero-trial NaN estimate when the split funds no node."""
+           workers: int, correlation=None) -> tuple:
+    """(tau, estimate) of grid point index at one of cfg.splits: the tau its
+    OutageConfig ran and its Monte Carlo estimate; NaNs if it funds no node."""
     alloc, k, _ = plan
     if k == 0:
-        return OutageEstimate(math.nan, 0, math.nan)
+        return math.nan, OutageEstimate(math.nan, math.nan)
     mc_cfg = cfg._outage_config(alloc.p2, sigma_n2, k, index, correlation)
-    return monte_carlo_outage(mc_cfg, workers=workers)
+    return mc_cfg.tau, monte_carlo_outage(mc_cfg, workers=workers)
 
 
 def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -271,11 +271,9 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     rows = []
     for index, (snr_db, plan) in enumerate(grid):
         alloc, k, feasible = plan
-        sigma_n2 = cfg.sigma_n2_at(snr_db)
-        est = _point(cfg, plan, sigma_n2, index, workers)
+        tau, est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers)
         analytical = math.nan if k == 0 else analytical_outage(
-            cfg.m, k, outage_threshold(cfg.r_tr, alloc.p2, sigma_n2),
-            variant=cfg.bound_variant)
+            cfg.m, k, tau, variant=cfg.bound_variant)
         rows.append((snr_db, alloc.alpha, k, int(feasible), est.probability,
                      est.std_error, analytical))
     summary = {}
@@ -327,7 +325,8 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         if plan is None:
             est = mimo_outage(cfg._mimo_config(snr_db, index), workers=workers)
         else:
-            est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers)
+            _, est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index,
+                            workers)
         rows.append((snr_db, sid, est.probability, est.std_error))
 
     def curve(sid):
@@ -355,7 +354,7 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     rows = []
     grid = itertools.product(cfg.snr_db_grid, cfg.correlations)
     for index, (snr_db, C) in enumerate(grid):
-        est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers, C)
+        _, est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers, C)
         rows.append((snr_db, C.r, C.level, est.probability, est.std_error))
     return _sweep_result(cfg, columns, rows, {}, {"alpha": plan[0].alpha})
 
@@ -377,7 +376,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         warnings.warn("trials=1 gives a degenerate estimate (p in {0,1}, "
                       "std_err 0)")
     sigma_n2 = cfg.sigma_n2_at(snr_db)
-    est = _point(cfg, plan, sigma_n2, 0, workers)
+    tau, est = _point(cfg, plan, sigma_n2, 0, workers)
     report = {
         "alpha": alloc.alpha,
         "snr_db": snr_db,
@@ -391,7 +390,7 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "feasible": feasible,
     }
     if k:
-        report["threshold"] = outage_threshold(cfg.r_tr, alloc.p2, sigma_n2)
+        report["threshold"] = tau
         report["p_out_mc"] = est.probability
         report["std_err"] = est.std_error
         for variant in BOUND_VARIANTS:

@@ -311,24 +311,32 @@ def test_load_config_file_rejects_repeated_key(tmp_path):
         load_config_file(str(path))
 
 
+# a file that is not UTF-8 names the line of its first bad byte, counted as
+# the reader splits lines (a lone \r ends one too); a BOM is no byte of it
 @pytest.mark.parametrize("text, match", [
-    ("alpha = 0.3\nalpha_range = 0.5:0.6:0.1\nalpha = 0.7\n",
+    (b"alpha = 0.3\nalpha_range = 0.5:0.6:0.1\nalpha = 0.7\n",
      r":3: repeated key 'alpha'"),
-    ("alpha = 0.3\nalpha_range = 0.5:0.6:0.1\n",
+    (b"alpha = 0.3\nalpha_range = 0.5:0.6:0.1\n",
      "'alpha' and 'alpha_range' conflict"),
-    ("snr_db_range = 2:4:1\nsnr_db = 6\n",
+    (b"snr_db_range = 2:4:1\nsnr_db = 6\n",
      "'snr_db_range' and 'snr_db' conflict"),
-], ids=["repeated-key", "alpha-and-range", "snr-and-range"])
+    (b"\xff\xfe", r":1: not UTF-8 text \(invalid start byte\)$"),
+    (b"alpha = 0.3\r\ntrials = 5\xe9\n",
+     r":2: not UTF-8 text \(invalid continuation byte\)$"),
+    (b"\xef\xbb\xbfalpha = 0.3\rtrials = 5\r\xc3\n",
+     r":3: not UTF-8 text \(invalid continuation byte\)$"),
+], ids=["repeated-key", "alpha-and-range", "snr-and-range", "utf-16-bom",
+        "latin-1", "bom-and-cr"])
 def test_conflicting_config_keys_exit_before_running(text, match, tmp_path,
                                                      capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     out = tmp_path / "never.csv"
     rc = main(["alpha-sweep", "--config", str(cfg), "--snr-db", "6",
                "--trials", "100", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(cfg) in err
+    assert err.startswith(f"error: {cfg}")
     assert re.search(match, err)
     assert not out.exists()
 

@@ -442,6 +442,38 @@ def test_single_point_threshold_matches_formula():
     assert math.isfinite(report["sigma_n2"])
 
 
+def test_each_funded_point_works_out_its_threshold_once(monkeypatch):
+    # outage_threshold runs in _outage_config only; the bound and the point
+    # report take the tau of the OutageConfig that the point ran
+    import coopbeam.harness as harness
+    sweep = _cfg(experiment="alpha_sweep", alpha_grid=[0.02, 0.3, 0.5],
+                 snr_db_grid=[4.0, 8.0], trials=500)  # alpha 0.02: K = 0
+    point = _cfg(experiment="single_point", alpha_grid=[0.4],
+                 snr_db_grid=[4.0], trials=500)
+    calls, ran, bounds = [], [], []
+
+    def spy(log, name, pick):
+        fn = getattr(harness, name)
+
+        def spied(*args, **kw):
+            log.append(pick(*args, **kw))
+            return fn(*args, **kw)
+        monkeypatch.setattr(harness, name, spied)
+
+    spy(calls, "outage_threshold", lambda *args: args)
+    spy(ran, "monte_carlo_outage", lambda cfg, **kw: cfg.tau.hex())
+    spy(bounds, "analytical_outage", lambda m, k, tau, **kw: tau.hex())
+    rows = run_alpha_sweep(sweep).rows
+    assert len(calls) == len(ran) == 4  # two funded alphas at two SNRs
+    assert bounds == ran
+    assert sum(math.isnan(row[6]) for row in rows) == 2
+    del calls[:], ran[:], bounds[:]
+    report = run_single_point(point)
+    assert len(calls) == 1
+    assert ran == [report["threshold"].hex()]
+    assert bounds == ran * 2  # the printed and complex-convention variants
+
+
 # ------------------------------------------------------------ reproducibility
 
 def test_manifest_reproducibility_fields():

@@ -16,6 +16,7 @@ from coopbeam.baseline import MimoConfig, mimo_outage
 from coopbeam.channel import CorrelationMatrix
 from coopbeam.outage import (
     OutageConfig,
+    OutageEstimate,
     analytical_outage,
     block_gains,
     monte_carlo_outage,
@@ -260,7 +261,14 @@ def test_mc_std_error_formula():
     est = monte_carlo_outage(cfg)
     p = est.probability
     assert est.std_error == pytest.approx(
-        math.sqrt(p * (1 - p) / est.trials), rel=1e-12)
+        math.sqrt(p * (1 - p) / cfg.trials), rel=1e-12)
+
+
+def test_an_estimate_is_p_and_its_standard_error():
+    est = OutageEstimate.from_count(3, 12)
+    assert est == OutageEstimate(0.25, math.sqrt(0.25 * 0.75 / 12))
+    assert [f.name for f in dataclasses.fields(OutageEstimate)] == [
+        "probability", "std_error"]
 
 
 def test_mc_worker_count_invariance():
