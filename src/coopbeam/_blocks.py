@@ -210,18 +210,10 @@ def seeded_counter(seed, statistic, threshold: float):
     return count_block
 
 
-# the seeding rule of seeded_counter and block_sizes, as the run manifest
+# the seeding rule of seeded_counter and parallel_count, as the run manifest
 # records it: point i of a sweep passes the seed components (seed, i)
 SUBSEED_RULE = (f"point i, block b -> default_rng([seed, i, b]), "
                 f"block_size={BLOCK_SIZE}")
-
-
-def block_sizes(trials: int) -> list[int]:
-    full, rem = divmod(trials, BLOCK_SIZE)
-    sizes = [BLOCK_SIZE] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
 
 
 def _cpus() -> int:
@@ -250,13 +242,21 @@ def parallel_count(count_block, trials: int, workers: int = 1) -> int:
     count_block must depend only on its arguments (it builds its own RNG
     from the block index), so the total is independent of scheduling.  One
     task per thread t of T = min(workers, blocks, CPUs) sums blocks t, t + T,
-    ...  Raises ValueError unless workers is an integer >= 1.
+    ...; the CPUs are asked for only when min(workers, blocks) > 1.  Each
+    block's size is worked out as it runs, so a point's bookkeeping does not
+    grow with its block count.  Raises ValueError unless workers is an
+    integer >= 1.
     """
     require_positive_int(workers=workers)
-    sizes = block_sizes(trials)
-    threads = min(workers, len(sizes), _cpus())
+    blocks = -(-trials // BLOCK_SIZE)
+
+    def run(first: int, step: int) -> int:
+        return sum(count_block(b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
+                   for b in range(first, blocks, step))
+
+    threads = min(workers, blocks)
+    if threads > 1:
+        threads = min(threads, _cpus())
     if threads <= 1:
-        return sum(count_block(b, n) for b, n in enumerate(sizes))
-    return sum(_pool(threads).map(lambda t: sum(map(
-        count_block, range(t, len(sizes), threads), sizes[t::threads])),
-        range(threads)))
+        return run(0, 1)
+    return sum(_pool(threads).map(lambda t: run(t, threads), range(threads)))

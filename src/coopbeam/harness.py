@@ -45,7 +45,6 @@ from .powerplan import (
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
-    optimize_alpha,
     split,
 )
 
@@ -276,15 +275,17 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
             cfg.m, k, tau, variant=cfg.bound_variant)
         rows.append((snr_db, alloc.alpha, k, int(feasible), est.probability,
                      est.std_error, analytical))
-    summary = {}
+    summary, extra = {}, {}
     for snr in cfg.snr_db_grid:
-        best = optimize_alpha([row[1:5] for row in rows if row[0] == snr])
+        # alpha*: the least p_out_mc among the SNR's feasible rows; a tie goes
+        # to the smaller alpha, which spends less broadcast power
+        best = min(((p, alpha, k) for s, alpha, k, ok, p, *_ in rows
+                    if s == snr and ok), default=None)
         if best is not None:
-            summary[snr] = best
-    extra = {f"alpha_star[snr_db={_fmt(snr)}]":
-             f"{_fmt(s['alpha_star'])} (k={s['k_star']}, "
-             f"p_out_mc={_fmt(s['p_out_star'])})"
-             for snr, s in summary.items()}
+            p, alpha, k = best
+            summary[snr] = {"alpha_star": alpha, "k_star": k, "p_out_star": p}
+            extra[f"alpha_star[snr_db={_fmt(snr)}]"] = (
+                f"{_fmt(alpha)} (k={k}, p_out_mc={_fmt(p)})")
     return _sweep_result(cfg, columns, rows, summary, extra)
 
 

@@ -1,5 +1,4 @@
-"""Two-phase power budget: split, cluster size, broadcast feasibility and
-the choice of the best split."""
+"""Two-phase power budget: split, cluster size and broadcast feasibility."""
 
 from __future__ import annotations
 
@@ -73,18 +72,3 @@ def broadcast_feasible(p1: float, k: int, r_br: float,
     """True iff p1 covers the broadcast bound (phase then modeled error-free)."""
     require_positive(p1=p1)
     return p1 >= broadcast_power_bound(k, r_br, sigma_nbr2)
-
-
-def optimize_alpha(curve) -> dict | None:
-    """Best power split among one SNR's evaluated (alpha, k, feasible, p_out).
-
-    Infeasible points (broadcast bound unmet) are skipped.  Ties break
-    toward smaller alpha, which spends less broadcast power, so the result
-    does not depend on the order of the points.  Returns alpha_star, k_star
-    and p_out_star, or None when no point is feasible.
-    """
-    feasible = [(p, alpha, k) for alpha, k, ok, p in curve if ok]
-    if not feasible:
-        return None
-    p, alpha, k = min(feasible)
-    return {"alpha_star": alpha, "k_star": k, "p_out_star": p}

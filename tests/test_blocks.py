@@ -321,7 +321,7 @@ def test_parallel_count_runs_each_block_once(workers, monkeypatch):
     seen = []
     assert parallel_count(lambda b, n: seen.append((b, n)) or n, trials,
                           workers) == trials
-    assert sorted(seen) == list(enumerate(_blocks.block_sizes(trials)))
+    assert sorted(seen) == [(b, 8192) for b in range(10)] + [(10, 8187)]
 
 
 def test_many_block_point_holds_one_task_per_thread(monkeypatch):
@@ -337,6 +337,30 @@ def test_many_block_point_holds_one_task_per_thread(monkeypatch):
         tracemalloc.stop()
     assert total == blocks
     assert peak < 4 * 2**20
+
+
+def test_one_worker_point_bookkeeping_does_not_grow_with_its_blocks():
+    # a list of the block sizes would hold about 0.76 MiB here
+    blocks = 100_000
+    tracemalloc.start()
+    try:
+        total = parallel_count(lambda b, n: 1, blocks * _blocks.BLOCK_SIZE, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == blocks
+    assert peak < 64 * 2**10
+
+
+def test_one_thread_point_never_asks_for_the_cpus(monkeypatch):
+    def cpus():
+        raise AssertionError("_cpus called for a one-thread point")
+
+    monkeypatch.setattr(_blocks, "_cpus", cpus)
+    trials = 3 * _blocks.BLOCK_SIZE + 1
+    assert parallel_count(lambda b, n: n, trials, 1) == trials
+    # one block runs on one thread whatever the worker count
+    assert parallel_count(lambda b, n: n, 100, 8) == 100
 
 
 def test_one_worker_point_never_loads_the_pool(tmp_path):

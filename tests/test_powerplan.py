@@ -8,7 +8,6 @@ from coopbeam.powerplan import (
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
-    optimize_alpha,
     split,
 )
 
@@ -118,22 +117,17 @@ def _alpha_sweep(**kwargs):
                                             **kwargs))
 
 
+def _alpha_star_lines(res):
+    return [line for line in res.csv_text.splitlines()
+            if line.startswith("# alpha_star[")]
+
+
 def test_optimize_alpha_single_point_grid():
     res = _alpha_sweep(alpha_grid=[0.3], snr_db_grid=[9.0], trials=5000,
                        seed=2)
     assert res.summary[9.0]["alpha_star"] == 0.3
     assert res.summary[9.0]["k_star"] == 5
     assert res.summary[9.0]["p_out_star"] == res.rows[0][4]
-
-
-def test_optimize_alpha_deterministic():
-    curve = [(0.2, 3, 1, 0.40), (0.4, 6, 1, 0.25), (0.6, 9, 1, 0.25),
-             (0.5, 8, 0, 0.10)]
-    best = optimize_alpha(curve)
-    assert best == {"alpha_star": 0.4, "k_star": 6, "p_out_star": 0.25}
-    # the choice does not depend on the order of the points
-    assert optimize_alpha(curve[::-1]) == best
-    assert optimize_alpha(curve[1:] + curve[:1]) == best
 
 
 def test_optimize_alpha_returns_grid_minimum():
@@ -151,16 +145,39 @@ def test_optimize_alpha_tie_breaks_toward_smaller_alpha():
                        r_tr=0.0, trials=2000, seed=1)
     assert res.summary[8.0]["alpha_star"] == 0.3
     assert res.summary[8.0]["p_out_star"] == 0.0
-    assert optimize_alpha([(0.7, 10, 1, 0.0), (0.3, 5, 1, 0.0)]) == \
-        {"alpha_star": 0.3, "k_star": 5, "p_out_star": 0.0}
 
 
 def test_optimize_alpha_empty_feasible_set_is_none():
-    assert optimize_alpha([(0.2, 3, 0, 0.1), (0.8, 12, 0, 0.0)]) is None
-    assert optimize_alpha([]) is None
     # broadcast noise so high every grid point violates the bound: the
-    # sweep keeps the rows and reports no alpha* for that SNR
+    # sweep keeps the rows and reports no alpha* for that SNR, in the
+    # summary or the manifest
     res = _alpha_sweep(alpha_grid=[0.2, 0.8], snr_db_grid=[6.0],
                        sigma_nbr2=10.0, trials=2000, seed=3)
     assert [row[3] for row in res.rows] == [0, 0]
     assert res.summary == {}
+    assert _alpha_star_lines(res) == []
+
+
+def test_alpha_star_skips_infeasible_rows_and_echoes_the_chosen_row():
+    # a per-node broadcast bound of 3.7 leaves alpha = 0.3 (p1 / K = 18 / 5)
+    # infeasible and 0.2 (12 / 3) and 0.5 (30 / 8) feasible; the grids are
+    # given out of order, which changes nothing
+    res = _alpha_sweep(alpha_grid=[0.5, 0.3, 0.2], snr_db_grid=[8.0, 4.0],
+                       sigma_nbr2=3.7 / 3, trials=4000, seed=1)
+    table = [line.split(",") for line in res.csv_text.splitlines()
+             if not line.startswith("#")][1:]
+    assert [(row[1], row[3]) for row in table[:3]] == \
+        [("0.2", "1"), ("0.3", "0"), ("0.5", "1")]
+    # at 8 dB the infeasible row has the strictly least outage of its SNR
+    at8 = [float(row[4]) for row in table[3:]]
+    assert at8[1] < min(at8[0], at8[2])
+    expected = []
+    for snr in ("4", "8"):
+        feasible = [row for row in table if row[0] == snr and row[3] == "1"]
+        snr_db, alpha, k, _, p, *_ = min(
+            feasible, key=lambda row: (float(row[4]), float(row[1])))
+        expected.append(f"# alpha_star[snr_db={snr_db}] = {alpha} "
+                        f"(k={k}, p_out_mc={p})")
+    assert _alpha_star_lines(res) == expected
+    assert res.summary[8.0] == {"alpha_star": 0.2, "k_star": 3,
+                                "p_out_star": res.rows[3][4]}
