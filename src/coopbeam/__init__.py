@@ -20,7 +20,6 @@ from .outage import (
     regularized_lower_gamma,
 )
 from .powerplan import (
-    PowerAllocation,
     broadcast_feasible,
     broadcast_power_bound,
     cluster_size,
@@ -42,7 +41,6 @@ __all__ = [
     "MimoConfig",
     "OutageConfig",
     "OutageEstimate",
-    "PowerAllocation",
     "RunManifest",
     "__version__",
     "analytical_outage",

@@ -34,6 +34,8 @@ class MimoConfig:
 
     def __post_init__(self):
         require_positive_int(m=self.m, trials=self.trials)
+        for name in ("m", "trials"):  # a numpy int8 or uint64 would wrap
+            object.__setattr__(self, name, int(getattr(self, name)))
         require_positive(scale=self.scale)
         require_block_fits(self.trials, self.m, self.m, "m")
         required_snr(self.r_tr)

@@ -49,6 +49,18 @@ from .powerplan import (
 )
 
 
+class Split(NamedTuple):
+    """One grid alpha's plan: its phase powers, cluster size K and whether
+    p1 covers the broadcast bound; a split that funds no node (k = 0) is
+    infeasible."""
+
+    alpha: float
+    p1: float
+    p2: float
+    k: int
+    feasible: bool
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full parameterization of one experiment run.
@@ -111,10 +123,10 @@ class ExperimentConfig:
                                  f"{self.experiment}")
         object.__setattr__(self, "splits",
                            tuple(map(self._split, self.alpha_grid)))
-        alloc, k, _ = self.splits[-1]  # K and tau grow with alpha
+        worst = self.splits[-1]  # K and tau grow with alpha
         self._outage_config(  # worst point: largest alpha and K, lowest SNR
-            alloc.p2, max(map(self.sigma_n2_at, self.snr_db_grid)),
-            max(k, 1), 0)
+            worst.p2, max(map(self.sigma_n2_at, self.snr_db_grid)),
+            max(worst.k, 1), 0)
         if self.experiment == "snr_sweep" and self.include_baseline:
             self._mimo_config(self.snr_db_grid[-1], 0)
         object.__setattr__(self, "correlations", tuple(
@@ -139,13 +151,12 @@ class ExperimentConfig:
     def p_s(self) -> float:
         return self.p_total / self.ratio_ptotal_ps
 
-    def _split(self, alpha: float) -> tuple:
-        """(alloc, k, feasible) of one grid alpha; a split that funds no node
-        (k = 0) is infeasible, and only a funded one checks its p1."""
-        alloc = split(self.p_total, alpha)
+    def _split(self, alpha: float) -> Split:
+        """The Split of one grid alpha; only a funded one checks its p1."""
+        p1, p2 = split(self.p_total, alpha)
         k = cluster_size(alpha, self.p_total, self.p_s)
-        return alloc, k, k > 0 and broadcast_feasible(
-            alloc.p1, k, self.r_br, self.sigma_nbr2)
+        return Split(alpha, p1, p2, k, k > 0 and broadcast_feasible(
+            p1, k, self.r_br, self.sigma_nbr2))
 
     def _outage_config(self, p2: float, sigma_n2: float, k: int, index: int,
                        correlation=None) -> OutageConfig:
@@ -245,14 +256,13 @@ def _sweep_result(cfg: ExperimentConfig, columns, rows, summary,
                        "\n".join(lines) + "\n")
 
 
-def _point(cfg: ExperimentConfig, plan: tuple, sigma_n2: float, index: int,
+def _point(cfg: ExperimentConfig, plan: Split, sigma_n2: float, index: int,
            workers: int, correlation=None) -> tuple:
     """(tau, estimate) of grid point index at one of cfg.splits: the tau its
     OutageConfig ran and its Monte Carlo estimate; NaNs if it funds no node."""
-    alloc, k, _ = plan
-    if k == 0:
+    if plan.k == 0:
         return math.nan, OutageEstimate(math.nan, math.nan)
-    mc_cfg = cfg._outage_config(alloc.p2, sigma_n2, k, index, correlation)
+    mc_cfg = cfg._outage_config(plan.p2, sigma_n2, plan.k, index, correlation)
     return mc_cfg.tau, monte_carlo_outage(mc_cfg, workers=workers)
 
 
@@ -269,12 +279,11 @@ def run_alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     grid = itertools.product(cfg.snr_db_grid, cfg.splits)
     rows = []
     for index, (snr_db, plan) in enumerate(grid):
-        alloc, k, feasible = plan
         tau, est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers)
-        analytical = math.nan if k == 0 else analytical_outage(
-            cfg.m, k, tau, variant=cfg.bound_variant)
-        rows.append((snr_db, alloc.alpha, k, int(feasible), est.probability,
-                     est.std_error, analytical))
+        analytical = math.nan if plan.k == 0 else analytical_outage(
+            cfg.m, plan.k, tau, variant=cfg.bound_variant)
+        rows.append((snr_db, plan.alpha, plan.k, int(plan.feasible),
+                     est.probability, est.std_error, analytical))
     summary, extra = {}, {}
     for snr in cfg.snr_db_grid:
         # alpha*: the least p_out_mc among the SNR's feasible rows; a tie goes
@@ -315,7 +324,7 @@ def run_snr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     _start(cfg, "snr_sweep")
     columns = ("snr_db", "series_id", "p_out", "std_err")
     # (split, series id) per series; the MIMO baseline's split is None
-    series = [(plan, f"alpha={_fmt(plan[0].alpha)}") for plan in cfg.splits]
+    series = [(plan, f"alpha={_fmt(plan.alpha)}") for plan in cfg.splits]
     alpha_ids = [sid for _, sid in series]
     mimo_id = f"mimo{cfg.m}x{cfg.m}"
     if cfg.include_baseline:
@@ -357,7 +366,7 @@ def run_corr_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     for index, (snr_db, C) in enumerate(grid):
         _, est = _point(cfg, plan, cfg.sigma_n2_at(snr_db), index, workers, C)
         rows.append((snr_db, C.r, C.level, est.probability, est.std_error))
-    return _sweep_result(cfg, columns, rows, {}, {"alpha": plan[0].alpha})
+    return _sweep_result(cfg, columns, rows, {}, {"alpha": plan.alpha})
 
 
 def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -371,7 +380,6 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """
     _start(cfg, "single_point")
     plan = cfg.splits[0]
-    alloc, k, feasible = plan
     snr_db = cfg.snr_db_grid[0]
     if cfg.trials == 1:
         warnings.warn("trials=1 gives a degenerate estimate (p in {0,1}, "
@@ -379,24 +387,24 @@ def run_single_point(cfg: ExperimentConfig, workers: int = 1) -> dict:
     sigma_n2 = cfg.sigma_n2_at(snr_db)
     tau, est = _point(cfg, plan, sigma_n2, 0, workers)
     report = {
-        "alpha": alloc.alpha,
+        "alpha": plan.alpha,
         "snr_db": snr_db,
         "p_total": cfg.p_total,
-        "p1": alloc.p1,
-        "p2": alloc.p2,
-        "k": k,
+        "p1": plan.p1,
+        "p2": plan.p2,
+        "k": plan.k,
         "sigma_n2": sigma_n2,
-        "broadcast_bound": (broadcast_power_bound(k, cfg.r_br, cfg.sigma_nbr2)
-                            if k else math.inf),
-        "feasible": feasible,
+        "broadcast_bound": (broadcast_power_bound(
+            plan.k, cfg.r_br, cfg.sigma_nbr2) if plan.k else math.inf),
+        "feasible": plan.feasible,
     }
-    if k:
+    if plan.k:
         report["threshold"] = tau
         report["p_out_mc"] = est.probability
         report["std_err"] = est.std_error
         for variant in BOUND_VARIANTS:
             report[f"p_out_analytical_{variant}"] = analytical_outage(
-                cfg.m, k, report["threshold"], variant=variant)
+                cfg.m, plan.k, report["threshold"], variant=variant)
     report["manifest"] = RunManifest(_config_echo(cfg), 1, {})
     return report
 

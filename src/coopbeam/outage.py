@@ -77,6 +77,8 @@ class OutageConfig:
         require_nonnegative(tau=self.tau)
         object.__setattr__(self, "tau", float(self.tau))
         require_positive_int(m=self.m, k=self.k, trials=self.trials)
+        for name in ("m", "k", "trials"):  # a numpy int8 or uint64 would wrap
+            object.__setattr__(self, name, int(getattr(self, name)))
         require_block_fits(self.trials, self.m, self.k)
         seed_components(self.seed)
         if self.gain_mode not in GAIN_MODES:
@@ -303,6 +305,7 @@ def analytical_outage(m: int, k: int, tau: float,
     require_nonnegative(tau=tau)
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {_shown(variant)}")
+    mk = int(m) * int(k)  # a numpy int8 product would wrap
     if variant == "printed":
-        return regularized_lower_gamma(m * k / 2.0, float(tau) / 2.0)
-    return regularized_lower_gamma(float(m * k), tau)
+        return regularized_lower_gamma(mk / 2.0, float(tau) / 2.0)
+    return regularized_lower_gamma(float(mk), tau)

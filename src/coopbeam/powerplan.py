@@ -3,29 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._blocks import (_shown, require_finite, require_positive,
                       require_positive_int)
 from .outage import required_snr
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Split of the total budget across the two transmission phases.
-
-    p1 = alpha * p_total funds the intra-cluster broadcast, p2 the
-    beamforming phase; they sum to p_total exactly.
-    """
-
-    p_total: float
-    alpha: float
-    p1: float
-    p2: float
-
-
-def split(p_total: float, alpha: float) -> PowerAllocation:
-    """Split p_total into phase powers p1 = alpha*p_total, p2 = rest."""
+def split(p_total: float, alpha: float) -> tuple[float, float]:
+    """(p1, p2) = (alpha*p_total, the rest), summing to p_total exactly."""
     require_positive(p_total=p_total)
     require_finite(alpha=alpha)
     if not 0.0 < alpha < 1.0:
@@ -36,7 +21,7 @@ def split(p_total: float, alpha: float) -> PowerAllocation:
     # exactly; a plain alpha*p_total can land one rounding step off
     p1 = p_total - p2
     # p1 + p2 == p_total by Sterbenz: p2 or alpha*p_total is >= p_total/2
-    return PowerAllocation(p_total=p_total, alpha=alpha, p1=p1, p2=p2)
+    return p1, p2
 
 
 def cluster_size(alpha: float, p_total: float, p_s: float) -> int:

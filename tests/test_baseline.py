@@ -265,8 +265,15 @@ def test_mimo_config_rejects_non_integer_antenna_counts(value):
 
 
 def test_mimo_config_accepts_numpy_integer_antenna_counts():
-    cfg = MimoConfig(m=np.int64(2), trials=500)
-    assert mimo_outage(cfg) == mimo_outage(MimoConfig(m=2, trials=500))
+    want = mimo_outage(MimoConfig(m=2, trials=500))
+    # each row checks the types it holds before it draws, since a uint64
+    # trials count would make about 1.8e19 blocks
+    for m, trials in ((np.int8(2), np.uint64(500)),
+                      (np.uint8(2), np.uint32(500)),
+                      (np.uint64(2), np.int16(500)), (np.int64(2), 500)):
+        cfg = MimoConfig(m=m, trials=trials)
+        assert (type(cfg.m), type(cfg.trials)) == (int, int)
+        assert mimo_outage(cfg) == want
 
 
 # scale = p / (m * sigma_n2) of a tiny noise variance, of a huge power and

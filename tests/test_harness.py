@@ -262,6 +262,77 @@ def test_alpha_sweep_writes_file(tmp_path, capsys):
     assert out.read_bytes() == res.csv_text.encode()
 
 
+def _alpha_sweep(**kwargs):
+    return run_alpha_sweep(ExperimentConfig(experiment="alpha_sweep",
+                                            **kwargs))
+
+
+def _alpha_star_lines(res):
+    return [line for line in res.csv_text.splitlines()
+            if line.startswith("# alpha_star[")]
+
+
+def test_alpha_star_single_point_grid():
+    res = _alpha_sweep(alpha_grid=[0.3], snr_db_grid=[9.0], trials=5000,
+                       seed=2)
+    assert res.summary[9.0]["alpha_star"] == 0.3
+    assert res.summary[9.0]["k_star"] == 5
+    assert res.summary[9.0]["p_out_star"] == res.rows[0][4]
+
+
+def test_alpha_star_returns_grid_minimum():
+    res = _alpha_sweep(alpha_grid=[0.2, 0.3, 0.4, 0.5, 0.6],
+                       snr_db_grid=[7.0], trials=10_000, seed=5)
+    best = res.summary[7.0]
+    assert all(best["p_out_star"] <= row[4] for row in res.rows)
+    row = next(r for r in res.rows if r[1] == best["alpha_star"])
+    assert (row[2], row[4]) == (best["k_star"], best["p_out_star"])
+
+
+def test_alpha_star_tie_breaks_toward_smaller_alpha():
+    # zero rate means zero outage at every alpha: all ties
+    res = _alpha_sweep(alpha_grid=[0.3, 0.5, 0.7], snr_db_grid=[8.0],
+                       r_tr=0.0, trials=2000, seed=1)
+    assert res.summary[8.0]["alpha_star"] == 0.3
+    assert res.summary[8.0]["p_out_star"] == 0.0
+
+
+def test_alpha_star_empty_feasible_set_is_none():
+    # broadcast noise so high every grid point violates the bound: the
+    # sweep keeps the rows and reports no alpha* for that SNR, in the
+    # summary or the manifest
+    res = _alpha_sweep(alpha_grid=[0.2, 0.8], snr_db_grid=[6.0],
+                       sigma_nbr2=10.0, trials=2000, seed=3)
+    assert [row[3] for row in res.rows] == [0, 0]
+    assert res.summary == {}
+    assert _alpha_star_lines(res) == []
+
+
+def test_alpha_star_skips_infeasible_rows_and_echoes_the_chosen_row():
+    # a per-node broadcast bound of 3.7 leaves alpha = 0.3 (p1 / K = 18 / 5)
+    # infeasible and 0.2 (12 / 3) and 0.5 (30 / 8) feasible; the grids are
+    # given out of order, which changes nothing
+    res = _alpha_sweep(alpha_grid=[0.5, 0.3, 0.2], snr_db_grid=[8.0, 4.0],
+                       sigma_nbr2=3.7 / 3, trials=4000, seed=1)
+    table = [line.split(",") for line in res.csv_text.splitlines()
+             if not line.startswith("#")][1:]
+    assert [(row[1], row[3]) for row in table[:3]] == \
+        [("0.2", "1"), ("0.3", "0"), ("0.5", "1")]
+    # at 8 dB the infeasible row has the strictly least outage of its SNR
+    at8 = [float(row[4]) for row in table[3:]]
+    assert at8[1] < min(at8[0], at8[2])
+    expected = []
+    for snr in ("4", "8"):
+        feasible = [row for row in table if row[0] == snr and row[3] == "1"]
+        snr_db, alpha, k, _, p, *_ = min(
+            feasible, key=lambda row: (float(row[4]), float(row[1])))
+        expected.append(f"# alpha_star[snr_db={snr_db}] = {alpha} "
+                        f"(k={k}, p_out_mc={p})")
+    assert _alpha_star_lines(res) == expected
+    assert res.summary[8.0] == {"alpha_star": 0.2, "k_star": 3,
+                                "p_out_star": res.rows[3][4]}
+
+
 # ---------------------------------------------------------------- snr sweep
 
 def test_crossovers_count_a_zero_difference_at_the_last_snr():
@@ -536,7 +607,7 @@ def test_run_reads_the_splits_its_config_built(kw, alphas, funded,
     built = {"split": alphas, "cluster_size": alphas,
              "broadcast_feasible": funded}
     assert calls == built
-    assert [alloc.alpha for alloc, _, _ in cfg.splits] == list(cfg.alpha_grid)
+    assert [plan.alpha for plan in cfg.splits] == list(cfg.alpha_grid)
     EXPERIMENTS[cfg.experiment].runner(cfg)
     assert calls == built
 
@@ -583,8 +654,9 @@ def test_config_accepts_numpy_integer_m():
     texts = [run_alpha_sweep(_cfg(experiment="alpha_sweep", alpha_grid=[0.3],
                                   snr_db_grid=[6.0], trials=1000, m=m)
                              ).csv_text
-             for m in (3, np.int64(3))]
-    assert texts[0] == texts[1]
+             for m in (3, np.int8(3), np.uint8(3), np.int16(3), np.uint32(3),
+                       np.uint64(3), np.int64(3))]
+    assert texts[1:] == texts[:1] * 6
 
 
 def test_config_holds_numpy_float32_scalars_as_floats():

@@ -389,10 +389,18 @@ def test_mc_config_rejects_bad_seed(seed):
         OutageConfig(**{**_MC_KW, "seed": seed})
 
 
+# a narrow or unsigned numpy size runs as the equal Python int; each row
+# checks the type it holds before it draws, since a uint64 trials count
+# would make -(-trials // BLOCK_SIZE) about 1.8e19 blocks
 def test_mc_config_accepts_numpy_integers():
-    cfg = OutageConfig(**{**_MC_KW, "trials": np.int64(100),
-                          "seed": (np.int64(3), 0)})
-    assert 0.0 <= monte_carlo_outage(cfg).probability <= 1.0
+    want = monte_carlo_outage(OutageConfig(**{**_MC_KW, "seed": (3, 0)}))
+    assert 0.0 <= want.probability <= 1.0
+    for trials in (np.uint64(100), np.uint32(100), np.int8(100),
+                   np.uint8(100), np.int16(100), np.int64(100)):
+        cfg = OutageConfig(**{**_MC_KW, "trials": trials,
+                              "seed": (np.int64(3), 0)})
+        assert type(cfg.trials) is int
+        assert monte_carlo_outage(cfg) == want
 
 
 def test_mc_config_validation():
@@ -593,5 +601,13 @@ def test_mc_config_rejects_non_integer_sizes(field, value):
 
 
 def test_mc_config_accepts_numpy_integer_sizes():
-    cfg = OutageConfig(**{**_MC_KW, "m": np.int64(3), "k": np.int32(5)})
-    assert monte_carlo_outage(cfg) == monte_carlo_outage(OutageConfig(**_MC_KW))
+    want = monte_carlo_outage(OutageConfig(**_MC_KW))
+    for m, k in ((np.int8(3), np.int8(5)), (np.uint8(3), np.int16(5)),
+                 (np.uint64(3), np.uint32(5)), (np.int64(3), np.int32(5))):
+        cfg = OutageConfig(**{**_MC_KW, "m": m, "k": k})
+        assert (type(cfg.m), type(cfg.k)) == (int, int)
+        assert monte_carlo_outage(cfg) == want
+    # the bound's M*K = 272 would wrap to 16 in int8
+    for variant in ("printed", "complex_convention"):
+        assert analytical_outage(np.int8(16), np.int8(17), 50.0, variant) == \
+            analytical_outage(16, 17, 50.0, variant)
